@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModulusMismatch, RangeExceeded
 from .linaction import fixed_lines
 from .matgroup import (IDENT, Mat, MatrixGroup, all_gl2, are_conjugate,
                        gl2_order, is_applicable, mat_det, mat_inv, mat_mul,
-                       mat_pow, minus_identity, _generating_subset)
+                       mat_pow, minus_identity, _generating_subset, _kernel)
 from .modfield import generator, validate_modulus
 
 _SEARCH_MODULI = (5, 7, 11, 13)
@@ -34,41 +36,37 @@ def _upper_det1_elements(r: int, conjugator: Mat | None = None) -> list[Mat]:
 def _all_subgroups_of(elements: list[Mat], r: int) -> list[frozenset]:
     """Every subgroup of the given small group, as element sets.
 
-    Cyclic subgroups first, then joins of pairs until a fixpoint; correct
-    because every subgroup is a join of the cyclic subgroups inside it.
+    Cyclic subgroups first, then joins with a cyclic subgroup until a
+    fixpoint; correct because every subgroup is a join of the cyclic
+    subgroups inside it, taken one at a time.  Each subgroup keeps the
+    generators it was found with, and a join is the closure of the two
+    generator tuples together, searched from the union of the two sets.
     """
-    member_set = set(elements)
-    cyclics = set()
-    for m in elements:
-        cyc = [IDENT]
-        x = m
-        while x != IDENT:
-            cyc.append(x)
-            x = mat_mul(x, m, r)
-        cyclics.add(frozenset(cyc))
-    subs = set(cyclics)
-    frontier = list(cyclics)
+    k = _kernel(r)
+    member_set = frozenset(k.encode(elements).tolist())
+
+    def close(gens, start=()) -> frozenset:
+        seen = k.mask([k.ident, *start])
+        return frozenset(np.flatnonzero(k.closure(gens, seen=seen)).tolist())
+
+    subs: dict[frozenset, tuple] = {}
+    for code in sorted(member_set):
+        subs.setdefault(close((code,)), (code,))
+    cyclics = list(subs.items())
+    frontier = list(subs)
     while frontier:
         a = frontier.pop()
-        for b in list(subs):
+        for b, b_gens in cyclics:
             if a <= b or b <= a:
                 continue
-            gens = list(a | b)
-            seen = set(a | b)
-            work = list(seen)
-            while work:
-                x = work.pop()
-                for g in gens:
-                    y = mat_mul(x, g, r)
-                    if y not in seen:
-                        seen.add(y)
-                        work.append(y)
-            joined = frozenset(seen)
+            gens = subs[a] + b_gens
+            joined = close(gens, a | b)
             assert joined <= member_set
             if joined not in subs:
-                subs.add(joined)
+                subs[joined] = gens
                 frontier.append(joined)
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+    ordered = sorted(subs, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(k.decode(sorted(s))) for s in ordered]
 
 
 def reducible_sl2_candidates(r: int, reference_conjugator: Mat | None = None) -> list[MatrixGroup]:

@@ -4,15 +4,32 @@ A matrix is a plain 4-tuple (a, b, c, d) for [[a, b], [c, d]] with entries
 reduced mod r.  The modulus always travels alongside, either as an argument
 or on the owning MatrixGroup.  Groups store their elements sorted
 lexicographically, so iteration order is canonical.
+
+For r <= KERNEL_MAX_R the group operations run on a private integer-indexed
+kernel (_Kernel): the matrix (a, b, c, d) is the integer ((a*r+b)*r+c)*r+d,
+whose order is the lexicographic order of the tuples, and numpy tables and
+multiplication maps over all r^4 codes replace Python-level products.
+Closure there is one primitive, a frontier breadth-first search over a
+boolean mask.  Larger moduli keep the tuple closure; the exhaustive entry
+points (all_gl2, MatrixGroup.full, are_conjugate's witness scan, and
+subgroup_enum.subgroup_classes) refuse them with RangeExceeded before
+allocating anything.
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from functools import lru_cache
+from itertools import chain
 
-from .errors import ModulusMismatch, NonInvertibleMatrix
+import numpy as np
+
+from .errors import ModulusMismatch, NonInvertibleMatrix, RangeExceeded
 from .modfield import validate_modulus
+
+# largest modulus with an integer-indexed kernel: r^4 = 28,561 codes fit int16
+KERNEL_MAX_R = 13
 
 Mat = tuple[int, int, int, int]
 
@@ -102,10 +119,16 @@ def sl2_order(r: int) -> int:
     return r * (r * r - 1)
 
 
+def _require_kernel_range(r: int, what: str) -> None:
+    validate_modulus(r)
+    if r > KERNEL_MAX_R:
+        raise RangeExceeded(f"{what} supports r <= {KERNEL_MAX_R}, got {r}")
+
+
 @lru_cache(maxsize=8)
 def all_gl2(r: int) -> tuple[Mat, ...]:
     """All invertible matrices mod r, lexicographically sorted."""
-    validate_modulus(r)
+    _require_kernel_range(r, "GL2 enumeration")
     out = []
     for a in range(r):
         for b in range(r):
@@ -124,12 +147,230 @@ def random_gl2(rng, r: int) -> Mat:
             return m
 
 
+# ---- the integer-indexed kernel ----
+
+class _Kernel:
+    """GL2(F_r) on integer codes, with numpy tables over all r^4 codes.
+
+    gl lists the invertible codes in increasing (= lexicographic) order,
+    gl_mats the same matrices as tuples, and gl_index maps a code to its
+    position there, which decodes it.  inv and trace_det (trace * r + det)
+    are tables indexed by code; gl_digits and gl_inv_digits hold the
+    entries of each m in gl and of m^-1.  Right and left multiplication
+    maps, and the map m -> m g m^-1 over gl, are built per generator and
+    kept in one small LRU cache, so the maps of a subgroup's generators are
+    reused while those of one-off candidates are dropped.
+    """
+
+    # maps kept across all moduli; a subgroup search needs a handful at a time
+    _CACHE_SIZE = 8
+    _cache: OrderedDict = OrderedDict()
+
+    def __init__(self, r: int):
+        _require_kernel_range(r, "the integer-indexed GL2 kernel")
+        self.r = r
+        self.n = r ** 4
+        codes = np.arange(self.n, dtype=np.int16)
+        a, b, c, d = codes // r ** 3, codes // (r * r) % r, codes // r % r, codes % r
+        det = (a * d - b * c) % r
+        self.trace_det = (a + d) % r * r + det
+        self.gl = np.flatnonzero(det).astype(np.int32)
+        self.gl_index = np.full(self.n, -1, dtype=np.int16)
+        self.gl_index[self.gl] = np.arange(len(self.gl))
+        units = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=np.int16)
+        u = units[det]
+        self.inv = self._encode(d * u, -b * u, -c * u, a * u)
+        self.inv[det == 0] = -1
+        self.gl_digits = tuple(t[self.gl] for t in (a, b, c, d))
+        self.gl_inv_digits = tuple(t[self.inv[self.gl]] for t in (a, b, c, d))
+        self.ident = self.code(IDENT)
+        self.gl_mats = all_gl2(r)
+        self._slot = np.empty(self.n, dtype=np.int32)
+
+    def _encode(self, a, b, c, d) -> np.ndarray:
+        r = self.r
+        return ((a % r * r + b % r) * r + c % r) * r + d % r
+
+    def code(self, m: Mat) -> int:
+        return self._encode(*m)
+
+    def digits(self, code: int) -> tuple[int, int, int, int]:
+        code, d = divmod(int(code), self.r)
+        code, c = divmod(code, self.r)
+        a, b = divmod(code, self.r)
+        return a, b, c, d
+
+    def encode(self, mats) -> np.ndarray:
+        mats = list(mats)
+        flat = np.fromiter(chain.from_iterable(mats), dtype=np.int32, count=4 * len(mats))
+        a, b, c, d = flat.reshape(-1, 4).T
+        return self._encode(a, b, c, d).astype(np.int16)
+
+    def decode(self, codes) -> list:
+        mats = self.gl_mats
+        return [mats[i] for i in self.gl_index[codes].tolist()]
+
+    @staticmethod
+    def members(mask: np.ndarray) -> np.ndarray:
+        """Sorted codes set in a mask, as int16."""
+        return np.flatnonzero(mask).astype(np.int16)
+
+    def mask(self, codes) -> np.ndarray:
+        out = np.zeros(self.n, dtype=bool)
+        out[codes] = True
+        return out
+
+    # cached maps
+
+    def _cached(self, key, build) -> np.ndarray:
+        cache = self._cache
+        hit = cache.get(key)
+        if hit is not None:
+            cache.move_to_end(key)
+            return hit
+        out = build()
+        cache[key] = out
+        if len(cache) > self._CACHE_SIZE:
+            cache.popitem(last=False)
+        return out
+
+    def _rowmap(self, code: int, left: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Image of each vector (p, q), coded p*r + q, under one matrix.
+
+        Rows of x times g for right maps, columns g times (p, q)^T for left.
+        """
+        r = self.r
+        e, f, g, h = self.digits(code)
+        p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
+        if left:
+            return (e * p + f * q) % r, (g * p + h * q) % r
+        return (e * p + g * q) % r, (f * p + h * q) % r
+
+    def right_map(self, code: int) -> np.ndarray:
+        """x -> x g over all codes: each row of x is multiplied by g on its own."""
+        def build():
+            r = self.r
+            p, q = self._rowmap(code, left=False)
+            row = p * r + q
+            return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
+        return self._cached((self.r, "R", int(code)), build)
+
+    def left_map(self, code: int) -> np.ndarray:
+        """x -> g x over all codes: each column of x is multiplied by g on its own."""
+        def build():
+            r = self.r
+            p, q = self._rowmap(code, left=True)
+            first = (p * r ** 3 + q * r).reshape(r, r)   # column (a, c)
+            second = (p * r * r + q).reshape(r, r)      # column (b, d)
+            out = first[:, None, :, None] + second[None, :, None, :]
+            return out.ravel().astype(np.int16)
+        return self._cached((self.r, "L", int(code)), build)
+
+    def conjugates_at(self, code: int, positions) -> np.ndarray:
+        """m g m^-1 for the m at the given positions of gl.
+
+        Entries reach at most 4 (r-1)^3 = 6,912 before reduction, so int16
+        holds them.
+        """
+        e, f, g, h = self.digits(code)
+        a, b, c, d = (t[positions] for t in self.gl_digits)
+        ia, ib, ic, id_ = (t[positions] for t in self.gl_inv_digits)
+        p, q, s, t = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        return self._encode(p * ia + q * ic, p * ib + q * id_,
+                            s * ia + t * ic, s * ib + t * id_)
+
+    def conjugates(self, code: int) -> np.ndarray:
+        """m g m^-1 for every m in gl, in gl order."""
+        return self._cached((self.r, "C", int(code)),
+                            lambda: self.conjugates_at(code, slice(None)))
+
+    # group algorithms
+
+    def closure(self, gen_codes, cap=None, seen=None):
+        """Mask of the subgroup generated by gen_codes; None once its size passes cap.
+
+        Breadth-first search by right multiplication, one frontier at a
+        time.  With seen given, the search starts from every code in it
+        (and updates it in place).
+        """
+        maps = [self.right_map(g) for g in gen_codes]
+        if seen is None:
+            seen = np.zeros(self.n, dtype=bool)
+            seen[self.ident] = True
+        frontier = np.flatnonzero(seen)
+        size = len(frontier)
+        while len(frontier):
+            step = maps[0][frontier] if len(maps) == 1 else \
+                np.concatenate([m[frontier] for m in maps])
+            step = step[~seen[step]]
+            if not len(step):
+                break
+            # keep one copy of each code: one write to its slot survives
+            order = np.arange(len(step), dtype=np.int32)
+            self._slot[step] = order
+            frontier = step[self._slot[step] == order]
+            size += len(frontier)
+            if cap is not None and size > cap:
+                return None
+            seen[frontier] = True
+        return seen
+
+    def conjugators(self, gen_codes, target_codes) -> np.ndarray:
+        """Positions in gl of the m with m g m^-1 in the target for every generator g.
+
+        The first generator is conjugated by all of GL2 (and cached); the
+        others only by the m that survive the generators before them.
+        """
+        target = self.mask(target_codes)
+        if not len(gen_codes):
+            return np.arange(len(self.gl))
+        found = np.flatnonzero(target[self.conjugates(gen_codes[0])])
+        for g in gen_codes[1:]:
+            found = found[target[self.conjugates_at(g, found)]]
+        return found
+
+    def generating_subset(self, member_codes) -> list:
+        """Greedy generators: repeatedly add the least member not yet generated."""
+        target = self.mask(member_codes)
+        total = int(target.sum())
+        seen = self.mask(self.ident)
+        gens: list = []
+        while True:
+            rest = np.flatnonzero(target & ~seen)
+            if not len(rest):
+                break
+            gens.append(int(rest[0]))
+            seen[rest[0]] = True
+            self.closure(gens, seen=seen)
+            if int(seen.sum()) == total:
+                break
+        return gens
+
+
+@lru_cache(maxsize=None)
+def _kernel(r: int) -> _Kernel:
+    return _Kernel(r)
+
+
+def _closure_tuples(gens, r: int, seen: set) -> set:
+    """Tuple closure for moduli above KERNEL_MAX_R: extend seen by right products."""
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mat_mul(x, g, r)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 # ---- groups ----
 
 class MatrixGroup:
     """A subgroup of GL2(F_r), stored as an explicit element set."""
 
-    __slots__ = ("r", "elements", "generators", "_set", "_fingerprint")
+    __slots__ = ("r", "elements", "generators", "_set", "_fingerprint", "_codes")
 
     def __init__(self, r: int, elements, generators=()):
         validate_modulus(r)
@@ -138,6 +379,7 @@ class MatrixGroup:
         self._set = frozenset(self.elements)
         self.generators: tuple[Mat, ...] = tuple(generators)
         self._fingerprint = None
+        self._codes = None
 
     # construction
 
@@ -149,20 +391,22 @@ class MatrixGroup:
         for g in gens:
             if mat_det(g, r) == 0:
                 raise NonInvertibleMatrix(f"generator {g} has determinant 0 mod {r}")
-        seen = {IDENT}
-        frontier = [IDENT]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mat_mul(x, g, r)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return cls(r, seen, gens)
+        if r > KERNEL_MAX_R:
+            return cls(r, _closure_tuples(gens, r, {IDENT}), gens)
+        k = _kernel(r)
+        return cls._from_codes(r, k.members(k.closure([k.code(g) for g in gens])), gens)
+
+    @classmethod
+    def _from_codes(cls, r: int, codes: np.ndarray, generators) -> "MatrixGroup":
+        """Group on sorted kernel codes, keeping the codes for later scans."""
+        group = cls(r, _kernel(r).decode(codes), generators)
+        group._codes = codes
+        return group
 
     @classmethod
     def full(cls, r: int) -> "MatrixGroup":
         from .modfield import generator
+        _require_kernel_range(r, "the full group GL2")
         g = generator(r)
         return cls(r, all_gl2(r), ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1)))
 
@@ -196,24 +440,32 @@ class MatrixGroup:
         if self.r != other.r:
             raise ModulusMismatch(f"moduli differ: {self.r} vs {other.r}")
 
+    def _code_array(self) -> np.ndarray:
+        """Kernel codes of the elements, in element order (r <= KERNEL_MAX_R)."""
+        if self._codes is None:
+            self._codes = _kernel(self.r).encode(self.elements)
+        return self._codes
+
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:
         self._require_same_modulus(other)
         return self._set <= other._set
-
-    def contains_group(self, other: "MatrixGroup") -> bool:
-        self._require_same_modulus(other)
-        return other._set <= self._set
 
     # invariants
 
     def fingerprint(self):
         """Conjugation-invariant key: order plus the (trace, det) multiset."""
         if self._fingerprint is None:
-            counts: dict[tuple[int, int], int] = {}
-            for m in self.elements:
-                key = (mat_trace(m, self.r), mat_det(m, self.r))
-                counts[key] = counts.get(key, 0) + 1
-            self._fingerprint = (len(self.elements), tuple(sorted(counts.items())))
+            r = self.r
+            if r <= KERNEL_MAX_R:
+                keys = _kernel(r).trace_det[self._code_array()]
+            else:
+                keys = np.fromiter(((a + d) % r * r + (a * d - b * c) % r
+                                    for a, b, c, d in self.elements),
+                                   dtype=np.int64, count=len(self.elements))
+            counts = np.bincount(keys, minlength=r * r)
+            present = np.flatnonzero(counts).tolist()
+            self._fingerprint = (len(self.elements), tuple(
+                ((key // r, key % r), n) for key, n in zip(present, counts[present].tolist())))
         return self._fingerprint
 
     def determinant_set(self) -> frozenset:
@@ -233,12 +485,16 @@ class MatrixGroup:
         gens = tuple(mat_mul(mat_mul(m, g, r), mi, r) for g in self.generators)
         return MatrixGroup(r, elems, gens)
 
-    def scalar_subgroup(self) -> tuple[Mat, ...]:
-        return tuple(m for m in self.elements if is_scalar(m))
-
 
 def _generating_subset(members, r: int):
-    """Greedy small generating set for an explicit subgroup element list."""
+    """Greedy small generating set for an explicit subgroup element list.
+
+    Scans the members in lexicographic order and keeps each one the
+    generators so far do not already produce.
+    """
+    if r <= KERNEL_MAX_R:
+        k = _kernel(r)
+        return tuple(k.decode(k.generating_subset(k.encode(members))))
     target = set(members)
     gens: list[Mat] = []
     seen = {IDENT}
@@ -247,14 +503,7 @@ def _generating_subset(members, r: int):
             continue
         gens.append(m)
         seen.add(m)
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mat_mul(x, g, r)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+        _closure_tuples(gens, r, seen)
         if len(seen) == len(target):
             break
     return tuple(gens)
@@ -268,6 +517,8 @@ def are_conjugate(g_group: MatrixGroup, h_group: MatrixGroup):
     Cheap conjugation invariants (order, trace-det fingerprint) run first;
     only on agreement does the full witness scan over GL2 start.  Mapping
     the generators into H suffices since both groups have equal order.
+    The scan conjugates each generator by all of GL2 at once and returns
+    the lexicographically first witness.
     """
     g_group._require_same_modulus(h_group)
     if g_group.order != h_group.order:
@@ -276,12 +527,9 @@ def are_conjugate(g_group: MatrixGroup, h_group: MatrixGroup):
         return None
     r = g_group.r
     gens = g_group.generators or _generating_subset(g_group.elements, r)
-    target = h_group._set
-    for m in all_gl2(r):
-        mi = mat_inv(m, r)
-        if all(mat_mul(mat_mul(m, g, r), mi, r) in target for g in gens):
-            return m
-    return None
+    k = _kernel(r)
+    hits = k.conjugators([k.code(g) for g in gens], h_group._code_array())
+    return k.gl_mats[hits[0]] if len(hits) else None
 
 
 def is_applicable(group: MatrixGroup) -> bool:

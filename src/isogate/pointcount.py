@@ -1,10 +1,8 @@
 """Point counting over small prime fields, vectorized with numpy.
 
-The main kernel scans x and reads off solution counts from a table of
-squares; a direct (x, y) double scan is kept as an independent slow path
-for cross-checking.  Both work on the completed-square form
-y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, whose solution count matches the long
-Weierstrass form point for point.
+The kernel scans x and reads off solution counts from a table of squares.
+It works on the completed-square form y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
+whose solution count matches the long Weierstrass form point for point.
 """
 
 from functools import lru_cache
@@ -39,14 +37,3 @@ def count_by_x_scan(b2: int, b4: int, b6: int, q: int) -> int:
     zeros = int((v == 0).sum())
     on_squares = int((sq[v] & (v != 0)).sum())
     return 1 + zeros + 2 * on_squares
-
-
-def count_by_xy_scan(a1: int, a2: int, a3: int, a4: int, a6: int, q: int) -> int:
-    """Direct double scan of the long Weierstrass equation; small q only."""
-    if q > 3000:
-        raise ValueError("direct scan is for cross-checks at small q")
-    x = np.arange(q, dtype=np.int64).reshape(-1, 1)
-    y = np.arange(q, dtype=np.int64).reshape(1, -1)
-    rhs = ((x * x % q) * x + a2 % q * x % q * x + a4 % q * x + a6) % q
-    lhs = (y * y + a1 % q * x % q * y + a3 % q * y) % q
-    return 1 + int((lhs == rhs).sum())

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .matgroup import (IDENT, Mat, MatrixGroup, all_gl2, are_conjugate, gl2_order,
-                       is_scalar, mat_det, mat_inv, mat_mul, mat_trace,
-                       _generating_subset)
-from .modfield import validate_modulus
+                       is_scalar, mat_det, mat_mul, mat_trace, _generating_subset,
+                       _kernel, _require_kernel_range)
 
 
 def element_label(m: Mat, r: int) -> tuple[int, int, bool]:
@@ -49,19 +50,13 @@ def _gcd(a: int, b: int) -> int:
 
 
 def _closure_capped(gens, r: int, cap: int):
-    """Close the generators; None once the size passes cap (then it is GL2)."""
-    seen = {IDENT}
-    frontier = [IDENT]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = mat_mul(x, g, r)
-            if y not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(y)
-                frontier.append(y)
-    return seen
+    """Close the generators; None once the size passes cap (then it is GL2).
+
+    Returns the sorted kernel codes of the closure.
+    """
+    k = _kernel(r)
+    seen = k.closure([k.code(g) for g in gens], cap)
+    return None if seen is None else k.members(seen)
 
 
 def _cyclic_classes(r: int) -> list[MatrixGroup]:
@@ -72,51 +67,57 @@ def _cyclic_classes(r: int) -> list[MatrixGroup]:
     for m in label_reps.values():
         sig = cyclic_signature(m, r)
         if sig not in by_signature:
-            elements = _closure_capped([m], r, gl2_order(r))
-            by_signature[sig] = MatrixGroup(r, elements, (m,))
+            codes = _closure_capped([m], r, gl2_order(r))
+            by_signature[sig] = MatrixGroup._from_codes(r, codes, (m,))
     return sorted(by_signature.values(), key=lambda g: (g.order, g.elements))
 
 
 def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
     r = group.r
     gens = group.generators or _generating_subset(group.elements, r)
-    members = group._set
-    norm = []
-    for z in all_gl2(r):
-        zi = mat_inv(z, r)
-        if all(mat_mul(mat_mul(z, g, r), zi, r) in members for g in gens):
-            norm.append(z)
-    return _generating_subset(norm, r)
+    k = _kernel(r)
+    norm = k.gl[k.conjugators([k.code(g) for g in gens], group._code_array())]
+    return _generating_subset(k.decode(norm), r)
 
 
 def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
-    """One representative per orbit of candidate extra generators."""
+    """One representative per orbit of candidate extra generators.
+
+    Each move is a permutation of GL2, taken on positions in all_gl2(r)
+    together with its inverse permutation.  Every element starts labelled
+    by its own position; repeatedly taking the least label over each move
+    and then the label of the label converges to the least position in
+    each orbit, so the representatives are the orbit minima, in increasing
+    order, as a walk from each least unvisited element would list them.
+    """
     r = group.r
-    hgens = [g for g in (group.generators or group.elements) if g != IDENT]
-    ngens = _normalizer_generators(group)
-    ninvs = [mat_inv(z, r) for z in ngens]
-    remaining = set(all_gl2(r)) - group._set
-    reps = []
-    while remaining:
-        seed = min(remaining)
-        reps.append(seed)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            moves = [mat_inv(x, r)]
-            for h in hgens:
-                moves.append(mat_mul(x, h, r))
-                moves.append(mat_mul(h, x, r))
-            for z, zi in zip(ngens, ninvs):
-                moves.append(mat_mul(mat_mul(z, x, r), zi, r))
-            for y in moves:
-                if y in orbit:
-                    continue
-                orbit.add(y)
-                frontier.append(y)
-        remaining -= orbit
-    return reps
+    k = _kernel(r)
+    gl, pos = k.gl, k.gl_index
+    hgens = [k.code(g) for g in (group.generators or group.elements) if g != IDENT]
+    ngens = [k.code(z) for z in _normalizer_generators(group)]
+    moves = [k.inv[gl]]
+    for h in hgens:
+        moves.append(k.right_map(h)[gl])
+        moves.append(k.left_map(h)[gl])
+    for z in ngens:
+        moves.append(k.right_map(k.inv[z])[k.left_map(z)[gl]])
+    perms = []
+    for move in moves:
+        perm = pos[move]
+        back = np.empty_like(perm)
+        back[perm] = np.arange(len(perm), dtype=perm.dtype)
+        perms += (perm, back)
+    label = np.arange(len(gl), dtype=np.int32)
+    while True:
+        new = label
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    outside = ~k.mask(group._code_array())[gl]
+    return k.decode(gl[np.unique(label[outside])])
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
 
     The full group GL2 is never listed; reaching it is reported on the flag.
     """
-    validate_modulus(r)
+    _require_kernel_range(r, "subgroup enumeration")
     if max_generators < 1:
         raise ValueError("need at least one generator")
     levels = _LEVEL_CACHE.setdefault(r, [])
@@ -157,11 +158,11 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         for h_group in fresh:
             hgens = list(h_group.generators or _generating_subset(h_group.elements, r))
             for x in _candidate_orbit_reps(h_group):
-                elements = _closure_capped(hgens + [x], r, cap + 1)
-                if elements is None or len(elements) > cap:
+                codes = _closure_capped(hgens + [x], r, cap + 1)
+                if codes is None or len(codes) > cap:
                     hit_full = True
                     continue
-                cand = MatrixGroup(r, elements, tuple(hgens) + (x,))
+                cand = MatrixGroup._from_codes(r, codes, tuple(hgens) + (x,))
                 bucket = pool.setdefault(cand.fingerprint(), [])
                 if not any(are_conjugate(cand, known) for known in bucket):
                     bucket.append(cand)

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from isogate.errors import RangeExceeded
-from isogate.gatefinder import (find_gate_groups, plus_minus_related,
+from isogate.gatefinder import (_all_subgroups_of, _upper_det1_elements,
+                                find_gate_groups, plus_minus_related,
                                 reducible_sl2_candidates)
 from isogate.linaction import fixed_lines
-from isogate.matgroup import (MatrixGroup, are_conjugate, gl2_order,
-                              is_applicable, mat_det, minus_identity,
+from isogate.matgroup import (IDENT, MatrixGroup, are_conjugate, gl2_order,
+                              is_applicable, mat_det, mat_mul, minus_identity,
                               random_gl2)
 from isogate.stdgroups import borel, nonsplit_cartan_cubes_extended
 
@@ -86,3 +87,41 @@ def test_plus_minus_related_basic():
     doubled = MatrixGroup.close([(2, 0, 0, 1), minus_identity(5)], 5)
     assert plus_minus_related(doubled, half)
     assert not plus_minus_related(half, doubled)
+
+
+def _reference_subgroups(elements, r):
+    """Cyclic subgroups, then tuple closures of pairwise unions to a fixpoint."""
+    cyclics = set()
+    for m in elements:
+        cyc = [IDENT]
+        x = m
+        while x != IDENT:
+            cyc.append(x)
+            x = mat_mul(x, m, r)
+        cyclics.add(frozenset(cyc))
+    subs = set(cyclics)
+    frontier = list(cyclics)
+    while frontier:
+        a = frontier.pop()
+        for b in list(subs):
+            if a <= b or b <= a:
+                continue
+            seen = set(a | b)
+            work = list(seen)
+            while work:
+                x = work.pop()
+                for g in a | b:
+                    y = mat_mul(x, g, r)
+                    if y not in seen:
+                        seen.add(y)
+                        work.append(y)
+            if frozenset(seen) not in subs:
+                subs.add(frozenset(seen))
+                frontier.append(frozenset(seen))
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def test_subgroup_lattice_matches_reference():
+    for r, conj in ((5, None), (7, (1, 2, 3, 4)), (11, None)):
+        elements = _upper_det1_elements(r, conj)
+        assert _all_subgroups_of(elements, r) == _reference_subgroups(elements, r)

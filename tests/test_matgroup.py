@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogate.errors import (CompositeModulus, ModulusMismatch,
-                            NonInvertibleMatrix)
+                            NonInvertibleMatrix, RangeExceeded)
 from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
                               format_matrix, gl2_order, is_applicable,
                               is_scalar, mat_det, mat_inv, mat_mul, mat_pow,
                               mat_trace, minus_identity, parse_matrix,
-                              random_gl2, sl2_order)
+                              random_gl2, sl2_order, _generating_subset, _kernel)
 from isogate.stdgroups import (borel, nonsplit_cartan,
                                nonsplit_cartan_normalizer, split_cartan,
                                split_cartan_normalizer)
@@ -209,3 +212,121 @@ def test_group_container_protocol():
     assert len(g) == g.order == 16
     assert g == MatrixGroup(5, g.elements)
     assert g.determinant_set() == frozenset({1, 2, 3, 4})
+
+
+# ---- the integer-indexed kernel against plain tuple references ----
+
+def _reference_closure(gens, r, cap=None):
+    """Tuple breadth-first closure; None once the size would pass cap."""
+    seen = {IDENT}
+    frontier = [IDENT]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mat_mul(x, g, r)
+            if y not in seen:
+                if cap is not None and len(seen) >= cap:
+                    return None
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _reference_generating_subset(members, r):
+    target = set(members)
+    gens = []
+    seen = {IDENT}
+    for m in sorted(target):
+        if m in seen:
+            continue
+        gens.append(m)
+        seen = _reference_closure(gens, r)
+        if len(seen) == len(target):
+            break
+    return tuple(gens)
+
+
+@st.composite
+def _generator_sets(draw, max_gens=3):
+    r = draw(st.sampled_from((5, 7)))
+    gl = all_gl2(r)
+    picks = st.integers(0, len(gl) - 1)
+    gens = [gl[i] for i in draw(st.lists(picks, min_size=1, max_size=max_gens))]
+    return r, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets(), st.integers(1, 2100))
+def test_kernel_closure_matches_reference(case, cap):
+    from isogate.subgroup_enum import _closure_capped
+    r, gens = case
+    reference = _reference_closure(gens, r)
+    group = MatrixGroup.close(gens, r)
+    assert group.elements == tuple(sorted(reference))
+    assert group.generators == tuple(gens)
+    for limit in (cap, len(reference), len(reference) - 1):
+        capped = _closure_capped(gens, r, limit)
+        expected = _reference_closure(gens, r, limit)
+        if expected is None:
+            assert capped is None
+        else:
+            assert _kernel(r).decode(capped) == sorted(expected)
+    assert _generating_subset(group.elements, r) == \
+        _reference_generating_subset(group.elements, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets(max_gens=2), st.integers(0, 2015), st.booleans())
+def test_kernel_are_conjugate_matches_bruteforce(case, index, conjugated):
+    r, gens = case
+    gl = all_gl2(r)
+    a = MatrixGroup.close(gens, r)
+    if a.order > 48:
+        a = MatrixGroup.close(gens[:1], r)
+    other = gl[index % len(gl)]
+    b = a.conjugate_by(other) if conjugated else MatrixGroup.close([other], r)
+    # the first witness of the generator scan is the first full-set witness
+    assert are_conjugate(a, b) == _conjugate_bruteforce(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_kernel_fingerprint_matches_dict_count(case):
+    r, gens = case
+    group = MatrixGroup.close(gens, r)
+    counts = Counter((mat_trace(m, r), mat_det(m, r)) for m in group.elements)
+    expected = (group.order, tuple(sorted(counts.items())))
+    assert group.fingerprint() == expected
+    # a group built from tuples, not from kernel codes, agrees too
+    assert MatrixGroup(r, group.elements).fingerprint() == expected
+
+
+def test_kernel_tables():
+    for r in (5, 13):
+        k = _kernel(r)
+        gl = all_gl2(r)
+        assert k.decode(k.gl) == list(gl)
+        assert k.encode(gl).tolist() == k.gl.tolist()
+        sample = gl[:: max(1, len(gl) // 200)]
+        for m in sample:
+            code = k.code(m)
+            assert k.gl_mats[k.gl_index[k.inv[code]]] == mat_inv(m, r)
+            assert k.trace_det[code] == mat_trace(m, r) * r + mat_det(m, r)
+            for g in sample[:5]:
+                assert k.decode([k.right_map(k.code(g))[code]]) == [mat_mul(m, g, r)]
+                assert k.decode([k.left_map(k.code(g))[code]]) == [mat_mul(g, m, r)]
+
+
+def test_exhaustive_entry_points_refuse_large_moduli():
+    from isogate.subgroup_enum import subgroup_classes
+    for call in (lambda: all_gl2(17), lambda: MatrixGroup.full(17),
+                 lambda: subgroup_classes(17, 1), lambda: _kernel(17)):
+        with pytest.raises(RangeExceeded):
+            call()
+    # closure and invariants still work above the kernel's range
+    g = MatrixGroup.close([(3, 0, 0, 1), (0, 1, 1, 0)], 17)
+    assert g == split_cartan_normalizer(17)
+    assert g.fingerprint()[0] == 512
+    assert g.sl2_part().order == 32
+    with pytest.raises(RangeExceeded):
+        are_conjugate(g, g)

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isogate.matgroup import MatrixGroup, are_conjugate, is_applicable
-from isogate.subgroup_enum import (class_counts, cyclic_signature,
+from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
+                              is_applicable, mat_inv, mat_mul)
+from isogate.subgroup_enum import (_candidate_orbit_reps, _normalizer_generators,
+                                   class_counts, cyclic_signature,
                                    element_label, subgroup_classes)
 
 
@@ -68,3 +72,62 @@ def test_every_class_closed_under_product():
         for a in g.elements[:4]:
             for b in g.elements[:4]:
                 assert mat_mul(a, b, 5) in g
+
+
+# ---- kernel layers against plain tuple references ----
+
+def _reference_normalizer(group):
+    r = group.r
+    members = set(group.elements)
+    out = []
+    for z in all_gl2(r):
+        zi = mat_inv(z, r)
+        if all(mat_mul(mat_mul(z, g, r), zi, r) in members for g in group.generators):
+            out.append(z)
+    return out
+
+
+def _reference_orbit_minima(group):
+    """Orbit walk over GL2 minus the group; each orbit listed by its minimum."""
+    r = group.r
+    hgens = [g for g in group.generators if g != IDENT]
+    # the orbits depend only on the group the conjugators generate
+    norm = _reference_normalizer(group)
+    conjugators = [(z, mat_inv(z, r)) for z in norm]
+    remaining = set(all_gl2(r)) - set(group.elements)
+    minima = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            moves = [mat_inv(x, r)]
+            moves += [mat_mul(x, h, r) for h in hgens]
+            moves += [mat_mul(h, x, r) for h in hgens]
+            moves += [mat_mul(mat_mul(z, x, r), zi, r) for z, zi in conjugators]
+            for y in moves:
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        minima.append(seed)
+        remaining -= orbit
+    return minima
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((5, 7)), st.lists(st.integers(0, 2015), min_size=1, max_size=2))
+def test_orbit_reps_match_reference_minima(r, picks):
+    gl = all_gl2(r)
+    group = MatrixGroup.close([gl[i % len(gl)] for i in picks], r)
+    if group.order == len(gl) or group.order > 96:
+        group = MatrixGroup.close([gl[picks[0] % len(gl)]], r)
+    assert _candidate_orbit_reps(group) == _reference_orbit_minima(group)
+    norm = MatrixGroup.close(_normalizer_generators(group), r)
+    assert norm.elements == tuple(_reference_normalizer(group))
+
+
+def test_counts_r11_r13():
+    # ROADMAP's reference counts at the two largest kernel moduli
+    assert class_counts(11, 2) == [33, 113]
+    assert class_counts(13, 2) == [47, 212]
