@@ -24,7 +24,7 @@ class OrbitDecomposition:
 def orbits(group: MatrixGroup) -> OrbitDecomposition:
     """Orbit partition of the nonzero vectors of F_r^2 under the group."""
     r = group.r
-    gens = group.generators or group.elements
+    gens = group.generators
     remaining = {(x, y) for x in range(r) for y in range(r)} - {(0, 0)}
     parts = []
     while remaining:
@@ -77,7 +77,7 @@ def fixed_lines(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
     Checking the generators suffices: the stabilizer of a line is a subgroup.
     """
     r = group.r
-    gens = group.generators or group.elements
+    gens = group.generators
     out = []
     for v in _line_reps(r):
         if all(_line_key(_apply(g, v, r), r) == v for g in gens):

@@ -297,6 +297,8 @@ class _Kernel:
         if seen is None:
             seen = np.zeros(self.n, dtype=bool)
             seen[self.ident] = True
+        if not maps:
+            return seen
         frontier = np.flatnonzero(seen)
         size = len(frontier)
         while len(frontier):
@@ -368,15 +370,21 @@ def _closure_tuples(gens, r: int, seen: set) -> set:
 # ---- groups ----
 
 class MatrixGroup:
-    """A subgroup of GL2(F_r), stored as an explicit element set."""
+    """A subgroup of GL2(F_r), stored as an explicit element set.
+
+    generators always generate the elements; when none are given, the
+    greedy _generating_subset of the elements is taken.
+    """
 
     __slots__ = ("r", "elements", "generators", "_set", "_fingerprint", "_codes")
 
-    def __init__(self, r: int, elements, generators=()):
+    def __init__(self, r: int, elements, generators=None):
         validate_modulus(r)
         self.r = r
         self.elements: tuple[Mat, ...] = tuple(sorted(elements))
         self._set = frozenset(self.elements)
+        if generators is None:
+            generators = _generating_subset(self.elements, r)
         self.generators: tuple[Mat, ...] = tuple(generators)
         self._fingerprint = None
         self._codes = None
@@ -474,9 +482,7 @@ class MatrixGroup:
     def sl2_part(self) -> "MatrixGroup":
         """Determinant-1 subgroup, with a generating set recomputed by closure."""
         r = self.r
-        members = [m for m in self.elements if mat_det(m, r) == 1]
-        gens = _generating_subset(members, r)
-        return MatrixGroup(r, members, gens)
+        return MatrixGroup(r, [m for m in self.elements if mat_det(m, r) == 1])
 
     def conjugate_by(self, m: Mat) -> "MatrixGroup":
         r = self.r
@@ -525,10 +531,8 @@ def are_conjugate(g_group: MatrixGroup, h_group: MatrixGroup):
         return None
     if g_group.fingerprint() != h_group.fingerprint():
         return None
-    r = g_group.r
-    gens = g_group.generators or _generating_subset(g_group.elements, r)
-    k = _kernel(r)
-    hits = k.conjugators([k.code(g) for g in gens], h_group._code_array())
+    k = _kernel(g_group.r)
+    hits = k.conjugators([k.code(g) for g in g_group.generators], h_group._code_array())
     return k.gl_mats[hits[0]] if len(hits) else None
 
 

@@ -16,6 +16,7 @@ subgroup's normalizer, so one closure per orbit of those moves suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -38,15 +39,9 @@ def cyclic_signature(g: Mat, r: int) -> tuple:
     n = len(powers)
     labels = []
     for k in range(1, n + 1):
-        if _gcd(k, n) == 1:
+        if gcd(k, n) == 1:
             labels.append(element_label(powers[k % n], r))
     return tuple(sorted(labels))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _closure_capped(gens, r: int, cap: int):
@@ -74,9 +69,8 @@ def _cyclic_classes(r: int) -> list[MatrixGroup]:
 
 def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
     r = group.r
-    gens = group.generators or _generating_subset(group.elements, r)
     k = _kernel(r)
-    norm = k.gl[k.conjugators([k.code(g) for g in gens], group._code_array())]
+    norm = k.gl[k.conjugators([k.code(g) for g in group.generators], group._code_array())]
     return _generating_subset(k.decode(norm), r)
 
 
@@ -93,7 +87,7 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     r = group.r
     k = _kernel(r)
     gl, pos = k.gl, k.gl_index
-    hgens = [k.code(g) for g in (group.generators or group.elements) if g != IDENT]
+    hgens = [k.code(g) for g in group.generators if g != IDENT]
     ngens = [k.code(z) for z in _normalizer_generators(group)]
     moves = [k.inv[gl]]
     for h in hgens:
@@ -154,15 +148,15 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         pool: dict = {}
         for g in prev_classes:
             pool.setdefault(g.fingerprint(), []).append(g)
-        cap = gl2_order(r) // 2
+        cap = gl2_order(r) // 2  # by Lagrange, a larger closure is GL2
         for h_group in fresh:
-            hgens = list(h_group.generators or _generating_subset(h_group.elements, r))
             for x in _candidate_orbit_reps(h_group):
-                codes = _closure_capped(hgens + [x], r, cap + 1)
-                if codes is None or len(codes) > cap:
+                gens = h_group.generators + (x,)
+                codes = _closure_capped(gens, r, cap)
+                if codes is None:
                     hit_full = True
                     continue
-                cand = MatrixGroup._from_codes(r, codes, tuple(hgens) + (x,))
+                cand = MatrixGroup._from_codes(r, codes, gens)
                 bucket = pool.setdefault(cand.fingerprint(), [])
                 if not any(are_conjugate(cand, known) for known in bucket):
                     bucket.append(cand)

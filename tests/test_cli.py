@@ -74,6 +74,15 @@ def test_search_gate_groups(tmp_path, capsys):
     assert [c["index"] for c in payload["classes"]] == [30]
     assert payload["plus_minus_pairs"] == []
 
+    assert main(["search", "gate-groups", "--r", "7", "--json", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert [(c["order"], c["generators"]) for c in payload["classes"]] == [
+        (36, ["[[2,0],[0,4]] mod 7", "[[3,0],[0,5]] mod 7", "[[0,1],[4,0]] mod 7"]),
+        (18, ["[[4,0],[0,2]] mod 7", "[[0,4],[1,0]] mod 7"]),
+    ]
+    assert payload["plus_minus_pairs"] == [[0, 1]]
+
 
 def test_search_gate_groups_range(capsys):
     assert main(["search", "gate-groups", "--r", "17"]) == 2

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from isogate.errors import RangeExceeded
-from isogate.gatefinder import (_all_subgroups_of, _upper_det1_elements,
-                                find_gate_groups, plus_minus_related,
+from isogate.gatefinder import (find_gate_groups, plus_minus_related,
                                 reducible_sl2_candidates)
 from isogate.linaction import fixed_lines
 from isogate.matgroup import (IDENT, MatrixGroup, are_conjugate, gl2_order,
-                              is_applicable, mat_det, mat_mul, minus_identity,
-                              random_gl2)
+                              is_applicable, mat_det, mat_inv, mat_mul,
+                              minus_identity, random_gl2)
 from isogate.stdgroups import borel, nonsplit_cartan_cubes_extended
 
 
@@ -121,7 +120,25 @@ def _reference_subgroups(elements, r):
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
-def test_subgroup_lattice_matches_reference():
-    for r, conj in ((5, None), (7, (1, 2, 3, 4)), (11, None)):
-        elements = _upper_det1_elements(r, conj)
-        assert _all_subgroups_of(elements, r) == _reference_subgroups(elements, r)
+def _upper_det1_elements(r, conjugator=None):
+    elems = [(a, b, 0, pow(a, -1, r)) for a in range(1, r) for b in range(r)]
+    if conjugator is not None:
+        m, mi = conjugator, mat_inv(conjugator, r)
+        elems = [mat_mul(mat_mul(m, x, r), mi, r) for x in elems]
+    return elems
+
+
+def test_candidates_match_reference_lattice():
+    """The closed-form candidates are the GL2-classes of subgroups of B, one each."""
+    for r, conj in ((5, None), (7, (1, 2, 3, 4)), (11, None), (13, None)):
+        classes = []
+        for sub in _reference_subgroups(_upper_det1_elements(r, conj), r):
+            group = MatrixGroup(r, sub)
+            if not any(are_conjugate(group, known) for known in classes):
+                classes.append(group)
+        cands = reducible_sl2_candidates(r, conj)
+        assert len(cands) == len(classes)
+        for group in classes:
+            assert sum(are_conjugate(group, c) is not None for c in cands) == 1
+        divisors = [d for d in range(1, r) if (r - 1) % d == 0]
+        assert sorted(c.order for c in cands) == sorted(divisors + [r * d for d in divisors])

@@ -66,7 +66,11 @@ def test_orders():
 
 
 def test_close_small():
+    from isogate.subgroup_enum import _closure_capped
     assert MatrixGroup.close([IDENT], 7).order == 1
+    for r in (5, 13, 17):
+        assert MatrixGroup.close([], r).elements == (IDENT,)
+    assert _kernel(5).decode(_closure_capped([], 5, 1)) == [IDENT]
     assert MatrixGroup.close([(0, 1, 4, 0)], 5).order == 4
     with pytest.raises(NonInvertibleMatrix):
         MatrixGroup.close([(1, 2, 2, 4)], 5)
@@ -299,6 +303,29 @@ def test_kernel_fingerprint_matches_dict_count(case):
     assert group.fingerprint() == expected
     # a group built from tuples, not from kernel codes, agrees too
     assert MatrixGroup(r, group.elements).fingerprint() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets(), st.integers(0, 2015))
+def test_generators_close_to_elements(case, index):
+    r, gens = case
+    group = MatrixGroup.close(gens, r)
+    other = all_gl2(r)[index % gl2_order(r)]
+    for g in (group, group.sl2_part(), group.conjugate_by(other),
+              MatrixGroup(r, group.elements)):
+        assert MatrixGroup.close(g.generators, r) == g
+
+
+def test_generators_close_to_elements_standard_groups():
+    from isogate.stdgroups import KINDS, standard_group
+    moduli = {"g7_13": (13,), "g95_5": (5,), "cube_split": (7, 13)}
+    for r in (5, 7, 11, 13):
+        full = MatrixGroup.full(r)
+        assert MatrixGroup.close(full.generators, r) == full
+    for kind in KINDS:
+        for r in moduli.get(kind, (5, 7, 11, 13)):
+            g = standard_group(kind, r)
+            assert MatrixGroup.close(g.generators, r) == g, (kind, r)
 
 
 def test_kernel_tables():
