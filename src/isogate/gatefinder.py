@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .errors import ModulusMismatch, RangeExceeded
 from .linaction import fixed_lines
 from .matgroup import (Mat, MatrixGroup, are_conjugate, gl2_order, is_applicable,
-                       mat_inv, mat_mul, mat_pow, minus_identity, _kernel)
+                       mat_inv, mat_mul, mat_pow, minus_identity, _kernel,
+                       _require_kernel_range)
 from .modfield import generator, validate_modulus
 
 _SEARCH_MODULI = (5, 7, 11, 13)
@@ -34,9 +35,7 @@ def reducible_sl2_candidates(r: int, reference_conjugator: Mat | None = None) ->
 
     With a reference conjugator m, each candidate is conjugated by m.
     """
-    validate_modulus(r)
-    if r > 13:
-        raise RangeExceeded(f"reducible candidate enumeration supports r <= 13, got {r}")
+    _require_kernel_range(r, "reducible candidate enumeration")
     g = generator(r)
     gen_sets = []
     for d in range(1, r):

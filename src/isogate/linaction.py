@@ -96,9 +96,6 @@ class ProjectiveImage:
     kind: str
     permutations: tuple[tuple[int, ...], ...]
 
-    def element_orders(self) -> tuple[int, ...]:
-        return tuple(sorted(_perm_order(p) for p in self.permutations))
-
 
 def _perm_order(p: tuple[int, ...]) -> int:
     n = 1
@@ -110,18 +107,25 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return n
 
 
-def _perm_mul(p, q):
-    # apply q first, then p
-    return tuple(p[i] for i in q)
-
-
 def projective_image(group: MatrixGroup) -> ProjectiveImage:
     """Image of the group in PGL2, realized as permutations of the r+1 lines.
 
-    Classification rules, checked in order: PGL2 and PSL2 by order (PSL2
-    additionally perfect), then A5/S4/A4 by order and center/element-order
-    tests, then cyclic, then dihedral (a cyclic index-2 subgroup inverted
-    by an outside involution), else other.
+    The kind is read from n = |image| and top = the largest element order,
+    by the first rule that applies:
+
+        n = r(r^2-1)               PGL2
+        2n = r(r^2-1), r > 3       PSL2 (its only index-2 subgroup)
+        (n, top) = (12, 3)         A4
+        (n, top) = (24, 4)         S4
+        (n, top) = (60, 5)         A5
+        top = n                    cyclic
+        2 top = n                  dihedral
+        otherwise                  other
+
+    By Dickson's list (Serre 1972, section 2) a subgroup of PGL2(F_r) is
+    cyclic, dihedral, A4, S4, A5, PSL2, PGL2, or lies in a Borel image
+    F_r x| C_d; among groups of these orders the pair (n, top) tells the
+    kinds apart.  PSL2(F_3) is A4 and reads "A4".
     """
     r = group.r
     reps = _line_reps(r)
@@ -134,82 +138,17 @@ def projective_image(group: MatrixGroup) -> ProjectiveImage:
 
 
 def _classify(perms, n: int, r: int) -> str:
-    ident = tuple(range(r + 1))
     pgl_order = r * (r * r - 1)
-    psl_order = pgl_order // 2
     if n == pgl_order:
         return "PGL2"
-    if n == psl_order and _is_perfect(perms):
+    if 2 * n == pgl_order and r > 3:
         return "PSL2"
-    orders = {p: _perm_order(p) for p in perms}
-    if n == 60 and _center_trivial(perms, ident):
-        return "A5"
-    if n == 24 and _center_trivial(perms, ident):
-        return "S4"
-    if n == 12 and 6 not in orders.values():
-        return "A4"
-    if max(orders.values()) == n:
+    top = max(_perm_order(p) for p in perms)
+    kind = {(12, 3): "A4", (24, 4): "S4", (60, 5): "A5"}.get((n, top))
+    if kind is not None:
+        return kind
+    if top == n:
         return "cyclic"
-    if n % 2 == 0 and _is_dihedral(perms, orders, n):
+    if 2 * top == n:
         return "dihedral"
     return "other"
-
-
-def _center_trivial(perms, ident) -> bool:
-    for p in perms:
-        if p == ident:
-            continue
-        if all(_perm_mul(p, q) == _perm_mul(q, p) for q in perms):
-            return False
-    return True
-
-
-def _is_perfect(perms) -> bool:
-    """Whether the permutation group equals its own commutator subgroup."""
-    plist = sorted(perms)
-    inv = {}
-    for p in plist:
-        q = [0] * len(p)
-        for i, pi in enumerate(p):
-            q[pi] = i
-        inv[p] = tuple(q)
-    comms = set()
-    for p in plist:
-        for q in plist:
-            comms.add(_perm_mul(_perm_mul(p, q), _perm_mul(inv[p], inv[q])))
-    # close the commutator set under multiplication
-    frontier = list(comms)
-    while frontier:
-        x = frontier.pop()
-        for c in list(comms):
-            y = _perm_mul(x, c)
-            if y not in comms:
-                comms.add(y)
-                frontier.append(y)
-    return len(comms) == len(perms)
-
-
-def _is_dihedral(perms, orders, n: int) -> bool:
-    half = n // 2
-    rotations = [p for p, k in orders.items() if k == half]
-    if not rotations:
-        return False
-    c = rotations[0]
-    cyc = {c}
-    x = c
-    while True:
-        x = _perm_mul(x, c)
-        if x in cyc:
-            break
-        cyc.add(x)
-    if len(cyc) != half:
-        return False
-    c_inv = [0] * len(c)
-    for i, ci in enumerate(c):
-        c_inv[ci] = i
-    c_inv = tuple(c_inv)
-    for s, k in orders.items():
-        if k == 2 and s not in cyc:
-            if _perm_mul(_perm_mul(s, c), s) == c_inv:
-                return True
-    return False

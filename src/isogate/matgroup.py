@@ -156,10 +156,11 @@ class _Kernel:
     gl_mats the same matrices as tuples, and gl_index maps a code to its
     position there, which decodes it.  inv and trace_det (trace * r + det)
     are tables indexed by code; gl_digits and gl_inv_digits hold the
-    entries of each m in gl and of m^-1.  Right and left multiplication
-    maps, and the map m -> m g m^-1 over gl, are built per generator and
-    kept in one small LRU cache, so the maps of a subgroup's generators are
-    reused while those of one-off candidates are dropped.
+    entries of each m in gl and of m^-1.  Right multiplication maps (left
+    products follow from them and inv) and the map m -> m g m^-1 over gl
+    are built per generator and kept in one small LRU cache, so the maps
+    of a subgroup's generators are reused while those of one-off
+    candidates are dropped.
     """
 
     # maps kept across all moduli; a subgroup search needs a handful at a time
@@ -234,37 +235,15 @@ class _Kernel:
             cache.popitem(last=False)
         return out
 
-    def _rowmap(self, code: int, left: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Image of each vector (p, q), coded p*r + q, under one matrix.
-
-        Rows of x times g for right maps, columns g times (p, q)^T for left.
-        """
-        r = self.r
-        e, f, g, h = self.digits(code)
-        p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
-        if left:
-            return (e * p + f * q) % r, (g * p + h * q) % r
-        return (e * p + g * q) % r, (f * p + h * q) % r
-
     def right_map(self, code: int) -> np.ndarray:
         """x -> x g over all codes: each row of x is multiplied by g on its own."""
         def build():
             r = self.r
-            p, q = self._rowmap(code, left=False)
-            row = p * r + q
+            e, f, g, h = self.digits(code)
+            p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
+            row = (e * p + g * q) % r * r + (f * p + h * q) % r
             return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
         return self._cached((self.r, "R", int(code)), build)
-
-    def left_map(self, code: int) -> np.ndarray:
-        """x -> g x over all codes: each column of x is multiplied by g on its own."""
-        def build():
-            r = self.r
-            p, q = self._rowmap(code, left=True)
-            first = (p * r ** 3 + q * r).reshape(r, r)   # column (a, c)
-            second = (p * r * r + q).reshape(r, r)      # column (b, d)
-            out = first[:, None, :, None] + second[None, :, None, :]
-            return out.ravel().astype(np.int16)
-        return self._cached((self.r, "L", int(code)), build)
 
     def conjugates_at(self, code: int, positions) -> np.ndarray:
         """m g m^-1 for the m at the given positions of gl.

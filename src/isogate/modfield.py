@@ -6,6 +6,7 @@ MODULUS_MIN to MODULUS_MAX.
 """
 
 from functools import lru_cache
+from math import lcm
 
 from .errors import CompositeModulus, ZeroInput
 
@@ -95,16 +96,9 @@ def generator(r: int) -> int:
 
 
 def generates_units(values, r: int) -> bool:
-    """Whether the given units together generate the full unit group mod r."""
+    """Whether the given units together generate the full unit group mod r.
+
+    F_r^* is cyclic, so they do exactly when the lcm of their orders is r-1.
+    """
     validate_modulus(r)
-    seen = {1}
-    frontier = [1]
-    vals = [v % r for v in values if v % r != 0]
-    while frontier:
-        x = frontier.pop()
-        for v in vals:
-            y = x * v % r
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == r - 1
+    return lcm(*(element_order(v, r) for v in values if v % r)) == r - 1

@@ -543,12 +543,12 @@ def frobenius_samples(curve: CurveModel, bound: int) -> list[tuple[int, int]]:
     if not curve.is_integral():
         raise ValueError("Frobenius sampling needs an integral model")
     disc_num = abs(curve.discriminant().numerator)
+    b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     out = []
     for q in primes_upto(bound):
         if q == 2 or disc_num % q == 0:
             continue
-        count = count_by_x_scan(int(curve.b2) % q, int(curve.b4) % q,
-                                int(curve.b6) % q, q)
+        count = count_by_x_scan(b2 % q, b4 % q, b6 % q, q)
         out.append((q, q + 1 - count))
     return out
 

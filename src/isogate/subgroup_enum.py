@@ -1,47 +1,26 @@
 """Conjugacy classes of subgroups of GL2(F_r) with few generators.
 
 Exhaustive up-to-conjugacy enumeration of all subgroups generated by at
-most k elements.  Level 1 lists the cyclic subgroups; each further level
-extends every class that first appeared at the previous level by one more
-generator.  Used as an independent completeness oracle for the structured
-searches elsewhere in the package, not as a primary search itself.
+most k elements.  Level 0 is the trivial group; each level extends every
+class that first appeared at the previous level by one more generator, so
+level 1 lists the cyclic subgroups.  Used as an independent completeness
+oracle for the structured searches elsewhere in the package, not as a
+primary search itself.
 
-Element conjugacy in GL2 is decided by (trace, det, scalar flag); a cyclic
-subgroup's class is decided by the multiset of those labels over its
-generators.  For the extension step the candidate generator x only matters
-up to x -> hx, xh (h in the subgroup), x -> x^-1, and conjugation by the
-subgroup's normalizer, so one closure per orbit of those moves suffices.
+For the extension step the candidate generator x only matters up to
+x -> x^-1, x -> xh (h in the subgroup) and conjugation by the subgroup's
+normalizer; x -> hx is (x^-1 h^-1)^-1, so it adds nothing.  One closure
+per orbit of those moves suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .matgroup import (IDENT, Mat, MatrixGroup, all_gl2, are_conjugate, gl2_order,
-                       is_scalar, mat_det, mat_mul, mat_trace, _generating_subset,
-                       _kernel, _require_kernel_range)
-
-
-def element_label(m: Mat, r: int) -> tuple[int, int, bool]:
-    return (mat_trace(m, r), mat_det(m, r), is_scalar(m))
-
-
-def cyclic_signature(g: Mat, r: int) -> tuple:
-    """Conjugacy-class key for the cyclic subgroup generated by g."""
-    powers = [IDENT]
-    x = g
-    while x != IDENT:
-        powers.append(x)
-        x = mat_mul(x, g, r)
-    n = len(powers)
-    labels = []
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            labels.append(element_label(powers[k % n], r))
-    return tuple(sorted(labels))
+from .matgroup import (IDENT, Mat, MatrixGroup, are_conjugate, gl2_order,
+                       _generating_subset, _kernel, _require_kernel_range)
 
 
 def _closure_capped(gens, r: int, cap: int):
@@ -52,19 +31,6 @@ def _closure_capped(gens, r: int, cap: int):
     k = _kernel(r)
     seen = k.closure([k.code(g) for g in gens], cap)
     return None if seen is None else k.members(seen)
-
-
-def _cyclic_classes(r: int) -> list[MatrixGroup]:
-    label_reps = {}
-    for m in all_gl2(r):
-        label_reps.setdefault(element_label(m, r), m)
-    by_signature = {}
-    for m in label_reps.values():
-        sig = cyclic_signature(m, r)
-        if sig not in by_signature:
-            codes = _closure_capped([m], r, gl2_order(r))
-            by_signature[sig] = MatrixGroup._from_codes(r, codes, (m,))
-    return sorted(by_signature.values(), key=lambda g: (g.order, g.elements))
 
 
 def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
@@ -92,9 +58,9 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     moves = [k.inv[gl]]
     for h in hgens:
         moves.append(k.right_map(h)[gl])
-        moves.append(k.left_map(h)[gl])
     for z in ngens:
-        moves.append(k.right_map(k.inv[z])[k.left_map(z)[gl]])
+        rz = k.right_map(k.inv[z])
+        moves.append(rz[k.inv[rz[k.inv[gl]]]])  # x^-1 z^-1, then z x, then z x z^-1
     perms = []
     for move in moves:
         perm = pos[move]
@@ -138,10 +104,10 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
     _require_kernel_range(r, "subgroup enumeration")
     if max_generators < 1:
         raise ValueError("need at least one generator")
-    levels = _LEVEL_CACHE.setdefault(r, [])
-    if not levels:
-        levels.append((_cyclic_classes(r), False))
-    while len(levels) < max_generators:
+    if r not in _LEVEL_CACHE:
+        _LEVEL_CACHE[r] = [([MatrixGroup.close([], r)], False)]
+    levels = _LEVEL_CACHE[r]
+    while len(levels) <= max_generators:
         prev_classes, hit_full = levels[-1]
         older = levels[-2][0] if len(levels) >= 2 else []
         fresh = [g for g in prev_classes if g not in older]
@@ -163,7 +129,7 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         merged = sorted((g for bucket in pool.values() for g in bucket),
                         key=lambda g: (g.order, g.elements))
         levels.append((merged, hit_full))
-    classes, hit_full = levels[max_generators - 1]
+    classes, hit_full = levels[max_generators]
     return ClassInventory(r, max_generators, tuple(classes), hit_full)
 
 

@@ -1,9 +1,11 @@
 import random
-from itertools import permutations
+
+import pytest
 
 from isogate.linaction import (acts_freely, fixed_lines, orbits,
                                projective_image, _apply, _line_key)
 from isogate.matgroup import MatrixGroup, random_gl2
+from isogate.subgroup_enum import subgroup_classes
 from isogate.stdgroups import (borel, nonsplit_cartan,
                                nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer,
@@ -141,3 +143,90 @@ def test_projective_classification_spread():
     assert (full.order, full.kind) == (120, "PGL2")
     sl2 = projective_image(MatrixGroup.full(7).sl2_part())
     assert (sl2.order, sl2.kind) == (168, "PSL2")
+
+
+# ---- the rule table against the structural classifier ----
+
+def _perm_mul(p, q):
+    # apply q first, then p
+    return tuple(p[i] for i in q)
+
+
+def _center_trivial(perms, ident):
+    return not any(p != ident and all(_perm_mul(p, q) == _perm_mul(q, p) for q in perms)
+                   for p in perms)
+
+
+def _is_perfect(perms):
+    """Whether the permutation group equals its own commutator subgroup."""
+    plist = sorted(perms)
+    inv = {}
+    for p in plist:
+        q = [0] * len(p)
+        for i, pi in enumerate(p):
+            q[pi] = i
+        inv[p] = tuple(q)
+    comms = {_perm_mul(_perm_mul(p, q), _perm_mul(inv[p], inv[q]))
+             for p in plist for q in plist}
+    frontier = list(comms)
+    while frontier:
+        x = frontier.pop()
+        for c in list(comms):
+            y = _perm_mul(x, c)
+            if y not in comms:
+                comms.add(y)
+                frontier.append(y)
+    return len(comms) == len(perms)
+
+
+def _is_dihedral(perms, orders, n):
+    """A cyclic index-2 subgroup inverted by an involution outside it."""
+    rotations = [p for p, k in orders.items() if k == n // 2]
+    if not rotations:
+        return False
+    c = rotations[0]
+    cyc = {c}
+    x = _perm_mul(c, c)
+    while x not in cyc:
+        cyc.add(x)
+        x = _perm_mul(x, c)
+    if len(cyc) != n // 2:
+        return False
+    c_inv = [0] * len(c)
+    for i, ci in enumerate(c):
+        c_inv[ci] = i
+    c_inv = tuple(c_inv)
+    return any(k == 2 and s not in cyc and _perm_mul(_perm_mul(s, c), s) == c_inv
+               for s, k in orders.items())
+
+
+def _reference_kind(perms, r):
+    """Kind by perfectness, centre, element-order and dihedral tests."""
+    ident = tuple(range(r + 1))
+    n = len(perms)
+    pgl_order = r * (r * r - 1)
+    if n == pgl_order:
+        return "PGL2"
+    if n == pgl_order // 2 and _is_perfect(perms):
+        return "PSL2"
+    orders = {p: _perm_order(p) for p in perms}
+    if n == 60 and _center_trivial(perms, ident):
+        return "A5"
+    if n == 24 and _center_trivial(perms, ident):
+        return "S4"
+    if n == 12 and 6 not in orders.values():
+        return "A4"
+    if max(orders.values()) == n:
+        return "cyclic"
+    if n % 2 == 0 and _is_dihedral(perms, orders, n):
+        return "dihedral"
+    return "other"
+
+
+@pytest.mark.parametrize("r", (3, 5, 7))
+def test_projective_kind_matches_reference(r):
+    groups = list(subgroup_classes(r, 3).classes) + [MatrixGroup.full(r)]
+    for g in groups:
+        img = projective_image(g)
+        assert img.order == len(img.permutations)
+        assert img.kind == _reference_kind(img.permutations, r), g

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from isogate.errors import CompositeModulus, ZeroInput
@@ -100,3 +102,26 @@ def test_generates_units():
     assert generates_units([2, 6], 7)
     assert not generates_units([], 7)
     assert not generates_units([1], 7)
+    assert not generates_units([7, 14], 7)
+    assert generates_units([3, 0], 7)
+
+
+def _reference_generates_units(values, r):
+    """Breadth-first closure of the units under multiplication."""
+    vals = [v % r for v in values if v % r]
+    seen, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for v in vals:
+            y = x * v % r
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == r - 1
+
+
+def test_generates_units_matches_closure():
+    for r in (5, 7, 11, 13):
+        for size in (0, 1, 2):
+            for values in combinations_with_replacement(range(1, r), size):
+                assert generates_units(values, r) == _reference_generates_units(values, r)

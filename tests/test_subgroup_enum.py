@@ -1,27 +1,14 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
-                              is_applicable, mat_inv, mat_mul)
+                              is_applicable, is_scalar, mat_det, mat_inv,
+                              mat_mul, mat_trace)
 from isogate.subgroup_enum import (_candidate_orbit_reps, _normalizer_generators,
-                                   class_counts, cyclic_signature,
-                                   element_label, subgroup_classes)
-
-
-def test_element_label():
-    assert element_label((2, 0, 0, 3), 5) == (0, 1, False)
-    assert element_label((2, 0, 0, 2), 5) == (4, 4, True)
-
-
-def test_cyclic_signature_conjugation_invariant():
-    from isogate.matgroup import mat_inv, mat_mul
-    g = (2, 1, 0, 3)
-    m = (1, 2, 1, 3)
-    mi = mat_inv(m, 5)
-    conj = mat_mul(mat_mul(m, g, 5), mi, 5)
-    assert cyclic_signature(g, 5) == cyclic_signature(conj, 5)
-    assert cyclic_signature((1, 1, 0, 1), 5) != cyclic_signature((2, 0, 0, 2), 5)
+                                   class_counts, subgroup_classes)
 
 
 def test_counts_r5():
@@ -131,3 +118,42 @@ def test_counts_r11_r13():
     # ROADMAP's reference counts at the two largest kernel moduli
     assert class_counts(11, 2) == [33, 113]
     assert class_counts(13, 2) == [47, 212]
+
+
+# ---- level 1 against the label-signature cyclic classes ----
+
+def _element_label(m, r):
+    return (mat_trace(m, r), mat_det(m, r), is_scalar(m))
+
+
+def _cyclic_signature(g, r):
+    """Conjugacy-class key for <g>: the labels of its generators."""
+    powers = [IDENT]
+    x = g
+    while x != IDENT:
+        powers.append(x)
+        x = mat_mul(x, g, r)
+    n = len(powers)
+    return tuple(sorted(_element_label(powers[k % n], r)
+                        for k in range(1, n + 1) if gcd(k, n) == 1))
+
+
+def _reference_cyclic_classes(r):
+    """One <m> per class, m the least generator of a conjugate, as (elements, gens)."""
+    label_reps = {}
+    for m in all_gl2(r):
+        label_reps.setdefault(_element_label(m, r), m)
+    by_signature = {}
+    for m in label_reps.values():
+        sig = _cyclic_signature(m, r)
+        if sig not in by_signature:
+            by_signature[sig] = MatrixGroup.close([m], r)
+    out = sorted(by_signature.values(), key=lambda g: (g.order, g.elements))
+    return [(g.elements, () if g.order == 1 else g.generators) for g in out]
+
+
+@pytest.mark.parametrize("r", (5, 7))
+def test_level_one_matches_cyclic_reference(r):
+    classes = subgroup_classes(r, 1).classes
+    assert [(g.elements, g.generators) for g in classes] == _reference_cyclic_classes(r)
+    assert classes[0].generators == ()
