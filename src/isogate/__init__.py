@@ -43,6 +43,7 @@ from .ratcurves import (
     g3_family_j,
     squarefree_part,
     surjectivity_certificate,
+    surjectivity_certificates,
     two_division_cubic,
     two_torsion_family_j,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "standard_group",
     "subgroup_classes",
     "surjectivity_certificate",
+    "surjectivity_certificates",
     "torsion_bound_cyclotomic",
     "two_division_cubic",
     "two_division_shape",

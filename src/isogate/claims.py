@@ -33,16 +33,18 @@ from .errors import (
 from .gatefinder import find_gate_groups
 from .linaction import acts_freely, fixed_lines, orbits, projective_image
 from .matgroup import are_conjugate
-from .modcurve import named_curve, torsion_bound_cyclotomic, two_division_shape
+from .modcurve import (named_curve, named_curves, torsion_bound_cyclotomic,
+                       two_division_shape)
 from .ratcurves import (
     CurveModel,
     curve_from_j,
     disc_square_class_of_j,
     family_membership,
-    frobenius_samples,
     g3_family_j,
+    is_probable_prime,
     parse_rational_expr,
     surjectivity_certificate,
+    surjectivity_certificates,
     two_division_cubic,
     two_torsion_family_j,
 )
@@ -105,24 +107,60 @@ class ClaimReport:
         }
 
 
+_SCAN_BOUND = 10 ** 6  # count_points refuses primes above it
+_SAMPLE_BOUND_RANGE = (3, _SCAN_BOUND)
+_HEIGHT_BOUND_RANGE = (1, 2000)  # the point search costs O(h^2)
+
+
+def _bounded_int(name: str, value, lo: int, hi: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _torsion_prime_lists(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"torsion_primes must map curve labels to prime lists, got {raw!r}")
+    out = {}
+    for label, qs in raw.items():
+        if label not in named_curves():
+            raise ValueError(f"torsion_primes: unknown curve {label!r}; "
+                             f"have {sorted(named_curves())}")
+        if not isinstance(qs, (list, tuple)) or not qs:
+            raise ValueError(f"torsion_primes[{label!r}] must be a non-empty list of primes")
+        for q in qs:
+            if (isinstance(q, bool) or not isinstance(q, int) or q == 2
+                    or not is_probable_prime(q)):
+                raise ValueError(f"torsion_primes[{label!r}]: {q!r} is not an odd prime")
+            if q > _SCAN_BOUND:
+                raise ValueError(f"torsion_primes[{label!r}]: {q} is above the "
+                                 f"{_SCAN_BOUND} scan bound")
+        out[label] = tuple(qs)
+    return out
+
+
 @dataclass(frozen=True)
 class Config:
+    """Prime lists and bounds the claims read; checked on construction."""
     sample_bound: int = 10 ** 4
     height_bound: int = 1000
     torsion_primes: dict = field(default_factory=dict)  # curve label -> primes
+
+    def __post_init__(self):
+        _bounded_int("sample_bound", self.sample_bound, *_SAMPLE_BOUND_RANGE)
+        _bounded_int("height_bound", self.height_bound, *_HEIGHT_BOUND_RANGE)
+        object.__setattr__(self, "torsion_primes",
+                           _torsion_prime_lists(self.torsion_primes))
 
     @classmethod
     def from_json(cls, path: str) -> "Config":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         known = {"sample_bound", "height_bound", "torsion_primes"}
         extra = set(raw) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        if "torsion_primes" in raw:
-            raw["torsion_primes"] = {
-                label: tuple(qs) for label, qs in raw["torsion_primes"].items()
-            }
         return cls(**raw)
 
 
@@ -356,12 +394,9 @@ def _claim_surjectivity(config: Config, moduli) -> tuple[dict, dict]:
     computed: dict = {"family": {}, "negative": {}}
     for j_expr in FAMILY_J:
         curve = curve_from_j(parse_rational_expr(j_expr))
-        samples = frobenius_samples(curve, config.sample_bound)
+        reports = surjectivity_certificates(curve, moduli, config.sample_bound)
         computed["family"][j_expr] = {
-            str(r): surjectivity_certificate(
-                curve, r, config.sample_bound, samples=samples
-            ).status
-            for r in moduli
+            str(r): report.status for r, report in reports.items()
         }
     computed["negative"]["X0(11)@5"] = surjectivity_certificate(
         named_curve("X0(11)").model, 5, config.sample_bound
@@ -724,6 +759,10 @@ def run_claim(
     except (Undecided, FactorizationIncomplete, InsufficientSamples) as exc:
         expected, computed = None, {"error": str(exc)}
         status = "inconclusive"
+    except Exception as exc:
+        # one broken claim must not abort the rest of the registry
+        expected, computed = None, {"error": f"{type(exc).__name__}: {exc}"}
+        status = "fail"
     elapsed = int((time.monotonic() - start) * 1000)
     return ClaimReport(
         claim_id, params, status, _freeze(expected), _freeze(computed), elapsed

@@ -3,7 +3,8 @@
 verify runs registered claims (one or all) and reports pass/fail;
 search, curves, and torsion-bound expose the underlying computations
 directly.  Exit codes: 0 success (for verify: nothing failed), 1 a claim
-failed, 2 usage or computation error.
+failed, 2 a usage, input or computation error, or an unexpected crash; a
+crash prints one `error:` line, and the traceback too under --debug.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .claims import (
     CLAIM_IDS,
@@ -107,6 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="recompute and verify the finite checks behind "
         "r-isogenies of rational-j elliptic curves over cyclotomic fields",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run one claim or the whole registry")
@@ -151,8 +155,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IsogateError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
+        if isinstance(exc, (IsogateError, ValueError, KeyError)):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            # a crash is not a claim failure, so it must not exit 1
+            hint = "" if args.debug else " (rerun with --debug for the traceback)"
+            print(f"error: unexpected {type(exc).__name__}: {exc}{hint}", file=sys.stderr)
         return 2
 
 

@@ -527,6 +527,14 @@ def g3_family_j(t: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class SurjectivityReport:
+    """Verdict of the four criteria at one modulus r.
+
+    `sample_count` is the number of usable primes (good, odd, q != r) the
+    criteria were evaluated on.  With precomputed samples that is all of
+    them; otherwise it is the number read from the Frobenius stream before
+    the decision: the prefix on which all four criteria first hold, or
+    every usable prime up to `sample_bound` when the answer is inconclusive.
+    """
     status: str  # certified_surjective | inconclusive
     r: int
     sample_bound: int
@@ -538,19 +546,76 @@ class SurjectivityReport:
         return self.status == "certified_surjective"
 
 
-def frobenius_samples(curve: CurveModel, bound: int) -> list[tuple[int, int]]:
-    """(q, a_q) at every odd prime q <= bound of good reduction."""
+def frobenius_stream(curve: CurveModel, bound: int):
+    """(q, a_q) at every odd prime q <= bound of good reduction, lazily, in
+    increasing q; a point count is made only when its pair is read."""
     if not curve.is_integral():
         raise ValueError("Frobenius sampling needs an integral model")
     disc_num = abs(curve.discriminant().numerator)
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
-    out = []
-    for q in primes_upto(bound):
-        if q == 2 or disc_num % q == 0:
-            continue
-        count = count_by_x_scan(b2 % q, b4 % q, b6 % q, q)
-        out.append((q, q + 1 - count))
-    return out
+    return ((q, q + 1 - count_by_x_scan(b2 % q, b4 % q, b6 % q, q))
+            for q in primes_upto(bound)
+            if q != 2 and disc_num % q != 0)
+
+
+def frobenius_samples(curve: CurveModel, bound: int) -> list[tuple[int, int]]:
+    """(q, a_q) at every odd prime q <= bound of good reduction."""
+    return list(frobenius_stream(curve, bound))
+
+
+class _CriteriaFold:
+    """Running state of the four certification criteria over (trace, det)
+    pairs mod r.  Every criterion is upward-closed (an "exists an element"
+    test, or "the determinants generate"), so folding in more pairs can
+    only turn flags on."""
+
+    __slots__ = ("r", "nonsquare", "square", "excluder", "units", "dets")
+
+    def __init__(self, r: int):
+        self.r = validate_modulus(r)
+        self.nonsquare = self.square = self.excluder = self.units = False
+        self.dets: set[int] = set()
+
+    def update(self, pairs) -> None:
+        """Fold the pairs in, in one pass."""
+        r = self.r
+        squares = _square_set(r)
+        nonsquare, square, excluder = self.nonsquare, self.square, self.excluder
+        dets = self.dets
+        seen = len(dets)
+        for trace, det in pairs:
+            trace %= r
+            det %= r
+            if det == 0:
+                continue
+            dets.add(det)
+            if trace == 0:
+                continue
+            disc = (trace * trace - 4 * det) % r
+            if disc != 0:
+                if disc in squares:
+                    square = True
+                else:
+                    nonsquare = True
+            u = trace * trace * pow(det, -1, r) % r
+            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r != 0:
+                excluder = True
+        self.nonsquare, self.square, self.excluder = nonsquare, square, excluder
+        if len(dets) != seen and not self.units:
+            self.units = generates_units(dets, r)
+
+    @property
+    def certified(self) -> bool:
+        return self.nonsquare and self.square and self.units and self.excluder
+
+    @property
+    def criteria(self) -> tuple[tuple[str, bool], ...]:
+        return (
+            ("nonsquare_frobenius_disc", self.nonsquare),
+            ("square_frobenius_disc", self.square),
+            ("determinants_generate", self.units),
+            ("projective_order_above_5", self.excluder),
+        )
 
 
 def certificate_criteria(pairs, r: int) -> tuple[tuple[str, bool], ...]:
@@ -562,32 +627,47 @@ def certificate_criteria(pairs, r: int) -> tuple[tuple[str, bool], ...]:
     rule is applied to subgroup element data by the soundness oracle in the
     test suite, so Frobenius data and group data cannot drift apart.
     """
+    fold = _CriteriaFold(r)
+    fold.update(pairs)
+    return fold.criteria
+
+
+def _require_certifiable(r: int) -> None:
     validate_modulus(r)
-    squares = _square_set(r)
-    crit_nonsquare = crit_square = crit_excluder = False
-    dets = set()
-    for trace, det in pairs:
-        trace %= r
-        det %= r
-        if det == 0:
-            continue
-        dets.add(det)
-        disc = (trace * trace - 4 * det) % r
-        if trace != 0 and disc != 0:
-            if disc in squares:
-                crit_square = True
-            else:
-                crit_nonsquare = True
-        if trace != 0:
-            u = trace * trace * pow(det, -1, r) % r
-            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r != 0:
-                crit_excluder = True
-    return (
-        ("nonsquare_frobenius_disc", crit_nonsquare),
-        ("square_frobenius_disc", crit_square),
-        ("determinants_generate", generates_units(dets, r)),
-        ("projective_order_above_5", crit_excluder),
-    )
+    if r < 5:
+        raise ValueError("certification needs r >= 5")
+
+
+def _report(fold: _CriteriaFold, sample_bound: int, count: int) -> SurjectivityReport:
+    if not count:
+        raise InsufficientSamples(f"no good primes <= {sample_bound}")
+    status = "certified_surjective" if fold.certified else "inconclusive"
+    return SurjectivityReport(status, fold.r, sample_bound, count, fold.criteria)
+
+
+def surjectivity_certificates(curve: CurveModel, moduli, sample_bound: int = 10 ** 4
+                              ) -> dict[int, SurjectivityReport]:
+    """Certify the mod-r image for several moduli from one Frobenius stream.
+
+    The stream is read in increasing q and stops as soon as every modulus
+    is certified, or at `sample_bound`.  A Frobenius element lies in the
+    image whatever the prefix, so stopping early is as sound as reading
+    every prime; an inconclusive modulus reads the stream to the bound.
+    """
+    for r in moduli:
+        _require_certifiable(r)
+    folds = {r: _CriteriaFold(r) for r in moduli}
+    counts = dict.fromkeys(folds, 0)
+    pending = list(folds.values())
+    for q, a_q in frobenius_stream(curve, sample_bound):
+        for fold in pending:
+            if q != fold.r:
+                counts[fold.r] += 1
+                fold.update(((a_q, q),))
+        pending = [fold for fold in pending if not fold.certified]
+        if not pending:
+            break
+    return {r: _report(fold, sample_bound, counts[r]) for r, fold in folds.items()}
 
 
 def surjectivity_certificate(curve: CurveModel, r: int, sample_bound: int = 10 ** 4,
@@ -597,16 +677,14 @@ def surjectivity_certificate(curve: CurveModel, r: int, sample_bound: int = 10 *
     Certification requires all four sample criteria; the combination is
     sound for every r >= 5 (no proper subgroup can satisfy it), so a
     certified answer is never a false positive.  Precomputed (q, a_q)
-    samples may be passed in to share point counting across moduli.
+    samples may be passed in to share point counting across moduli; they
+    are all evaluated.  Without them the primes are read lazily and only
+    until the certificate is decided (`surjectivity_certificates`).
     """
-    validate_modulus(r)
-    if r < 5:
-        raise ValueError("certification needs r >= 5")
     if samples is None:
-        samples = frobenius_samples(curve, sample_bound)
+        return surjectivity_certificates(curve, (r,), sample_bound)[r]
+    _require_certifiable(r)
     usable = [(a_q % r, q % r) for q, a_q in samples if q != r]
-    if not usable:
-        raise InsufficientSamples(f"no good primes <= {sample_bound}")
-    criteria = certificate_criteria(usable, r)
-    status = "certified_surjective" if all(ok for _, ok in criteria) else "inconclusive"
-    return SurjectivityReport(status, r, sample_bound, len(usable), criteria)
+    fold = _CriteriaFold(r)
+    fold.update(usable)
+    return _report(fold, sample_bound, len(usable))

@@ -98,6 +98,73 @@ def test_config(tmp_path):
         Config.from_json(str(path))
 
 
+@pytest.mark.parametrize("raw", [
+    {"sample_bound": -5},
+    {"sample_bound": 2},
+    {"sample_bound": 10 ** 6 + 1},
+    {"sample_bound": "500"},
+    {"sample_bound": True},
+    {"sample_bound": 500.0},
+    {"height_bound": 0},
+    {"height_bound": 2001},
+    {"height_bound": None},
+    {"torsion_primes": [29]},
+    {"torsion_primes": {"X0(15)": [29]}},
+    {"torsion_primes": {"X0(14)": []}},
+    {"torsion_primes": {"X0(14)": 29}},
+    {"torsion_primes": {"X0(14)": [30]}},
+    {"torsion_primes": {"X0(14)": [2]}},
+    {"torsion_primes": {"X0(14)": ["29"]}},
+    {"torsion_primes": {"X0(14)": [1000033]}},
+])
+def test_config_rejects_bad_values(tmp_path, raw):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError):
+        Config.from_json(str(path))
+
+
+def test_config_accepts_range_ends(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"sample_bound": 3, "height_bound": 2000,
+                                "torsion_primes": {"X0(11)": [3, 999983]}}))
+    c = Config.from_json(str(path))
+    assert (c.sample_bound, c.height_bound) == (3, 2000)
+    assert c.torsion_primes == {"X0(11)": (3, 999983)}
+    assert Config(sample_bound=10 ** 6, height_bound=1).sample_bound == 10 ** 6
+
+
+def test_failing_claim_does_not_abort_run(monkeypatch):
+    from isogate import claims
+
+    def broken(config, moduli):
+        raise RuntimeError("runner exploded")
+
+    def passing(config, moduli):
+        return {}, {}
+
+    for cid in CLAIM_IDS:
+        runner = broken if cid == "disc-7" else passing
+        spec = claims.ClaimSpec(cid, claims._REGISTRY[cid].description, runner)
+        monkeypatch.setitem(claims._REGISTRY, cid, spec)
+    stream = io.StringIO()
+    reports = run_all(stream=stream)
+    assert len(reports) == 19
+    by_id = {rep.claim_id: rep for rep in reports}
+    assert by_id["disc-7"].status == "fail"
+    assert by_id["disc-7"].computed == {"error": "RuntimeError: runner exploded"}
+    assert all(rep.status == "pass" for cid, rep in by_id.items() if cid != "disc-7")
+    assert "18 pass, 1 fail" in stream.getvalue()
+
+
+def test_torsion_prime_off_congruence_fails_its_claim_only():
+    config = Config(torsion_primes={"X0(14)": (31,)})
+    rep = run_claim("x014-torsion", config=config)
+    assert rep.status == "fail"
+    assert rep.computed == {"error": "ValueError: 31 is not 1 mod 7"}
+    assert run_claim("disc-7", config=config).status == "pass"
+
+
 def test_write_reports(tmp_path):
     reports = [run_claim("disc-7"), run_claim("full2")]
     out = tmp_path / "reports.json"

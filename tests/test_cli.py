@@ -112,3 +112,67 @@ def test_torsion_bound_command(capsys):
 def test_torsion_bound_unknown_curve(capsys):
     assert main(["torsion-bound", "--curve", "X0(15)", "--r", "7"]) == 2
     assert "unknown curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [
+    {"sample_bound": -5},
+    {"sample_bound": "500"},
+    {"sample_bound": True},
+    {"height_bound": 5000},
+    {"torsion_primes": {"X0(15)": [29]}},
+    {"torsion_primes": {"X0(14)": []}},
+    {"torsion_primes": {"X0(14)": [30]}},
+    {"torsion_primes": {"X0(14)": [2]}},
+    {"torsion_primes": [29]},
+])
+def test_verify_config_bad_values(tmp_path, capsys, raw):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(raw))
+    assert main(["verify", "--all", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_all_survives_a_failing_claim(tmp_path, capsys, monkeypatch):
+    # an off-congruence torsion prime fails its own claim; the rest still run
+    from isogate import claims
+
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"torsion_primes": {"X0(14)": [31]}}))
+    monkeypatch.setattr(claims, "CLAIM_IDS", ("disc-7", "x014-torsion"))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--all", "--config", str(conf), "--json", str(out)]) == 1
+    assert "1 pass, 1 fail" in capsys.readouterr().out
+    loaded = {e["claim_id"]: e for e in json.loads(out.read_text())}
+    assert loaded["disc-7"]["status"] == "pass"
+    assert loaded["x014-torsion"]["computed"] == {"error": "ValueError: 31 is not 1 mod 7"}
+
+
+def _crash(args):
+    raise RuntimeError("internal fault")
+
+
+def test_unexpected_exception_exits_2(capsys, monkeypatch):
+    from isogate import cli
+
+    monkeypatch.setattr(cli, "_cmd_disc_class", _crash)
+    assert main(["curves", "disc-class", "--j", "1729"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected RuntimeError: internal fault")
+    assert "--debug" in err
+    assert "Traceback" not in err
+
+    assert main(["--debug", "curves", "disc-class", "--j", "1729"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: internal fault" in err
+    assert "error: unexpected RuntimeError: internal fault" in err
+
+
+def test_debug_prints_traceback_of_known_errors(capsys):
+    assert main(["--debug", "curves", "disc-class", "--j", "1728"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "error:" in err

@@ -13,7 +13,8 @@ from isogate.ratcurves import (CurveModel, certificate_criteria, curve_from_j,
                                is_probable_prime, parse_rational_expr,
                                quadratic_twist, rational_roots_cubic,
                                root_free_witness, squarefree_part,
-                               surjectivity_certificate, two_division_cubic,
+                               surjectivity_certificate,
+                               surjectivity_certificates, two_division_cubic,
                                two_torsion_family_j, has_rational_two_torsion)
 from isogate.stdgroups import octahedral_group_mod5
 from isogate.subgroup_enum import subgroup_classes
@@ -244,6 +245,84 @@ def test_surjectivity_examples():
         surjectivity_certificate(good, 3)
     with pytest.raises(InsufficientSamples):
         surjectivity_certificate(good, 11, sample_bound=2)
+
+
+def _lazy_cases():
+    from isogate.claims import FAMILY_J
+    from isogate.modcurve import named_curve
+    curves = [curve_from_j(parse_rational_expr(j)) for j in FAMILY_J]
+    return curves + [named_curve("X0(11)").model, CurveModel.short(1, 0)]
+
+
+_LAZY_MODULI = (5, 7, 11, 13, 17, 19, 23, 37)
+
+
+def test_lazy_certificates_match_eager():
+    # one stream stopped at the decision gives the verdict of every sample
+    for curve in _lazy_cases():
+        samples = frobenius_samples(curve, 2000)
+        lazy = surjectivity_certificates(curve, _LAZY_MODULI, sample_bound=2000)
+        assert list(lazy) == list(_LAZY_MODULI)
+        for r in _LAZY_MODULI:
+            eager = surjectivity_certificate(curve, r, 2000, samples=samples)
+            assert (lazy[r].status, lazy[r].criteria) == (eager.status, eager.criteria)
+            assert lazy[r] == surjectivity_certificate(curve, r, sample_bound=2000)
+            if not eager.certified:
+                assert lazy[r].sample_count == eager.sample_count
+
+
+def test_lazy_certificate_stops_at_first_decisive_prime():
+    certified = 0
+    for curve in _lazy_cases():
+        samples = frobenius_samples(curve, 2000)
+        for r, report in surjectivity_certificates(curve, _LAZY_MODULI, 2000).items():
+            if not report.certified:
+                continue
+            certified += 1
+            usable = [(a_q, q) for q, a_q in samples if q != r]
+            n = report.sample_count
+            assert all(ok for _, ok in certificate_criteria(usable[:n], r))
+            assert not all(ok for _, ok in certificate_criteria(usable[:n - 1], r))
+    assert certified == 151
+
+
+def test_stream_stops_once_every_modulus_is_certified(monkeypatch):
+    import isogate.ratcurves as ratcurves
+    good = curve_from_j(parse_rational_expr("2^5*7^3"))
+    samples = frobenius_samples(good, 10 ** 4)
+    counted = []
+    real = ratcurves.count_by_x_scan
+
+    def counting(b2, b4, b6, q):
+        counted.append(q)
+        return real(b2, b4, b6, q)
+
+    monkeypatch.setattr(ratcurves, "count_by_x_scan", counting)
+    reports = surjectivity_certificates(good, (11, 13, 17, 19))
+    assert all(rep.certified for rep in reports.values())
+    last = max([q for q, _ in samples if q != r][rep.sample_count - 1]
+               for r, rep in reports.items())
+    assert counted == [q for q, _ in samples if q <= last]
+
+
+def test_certificate_with_samples_reads_them_all():
+    good = curve_from_j(parse_rational_expr("2^5*7^3"))
+    samples = frobenius_samples(good, 500)
+    for r in (5, 11, 37, 41):
+        report = surjectivity_certificate(good, r, 500, samples=samples)
+        assert report.sample_count == sum(q != r for q, _ in samples)
+    assert surjectivity_certificates(good, (11, 13), 500)[11].sample_count < 20
+
+
+def test_certificate_input_checks():
+    good = curve_from_j(parse_rational_expr("2^5*7^3"))
+    with pytest.raises(InsufficientSamples):
+        surjectivity_certificates(good, (11, 13), sample_bound=2)
+    with pytest.raises(ValueError):
+        surjectivity_certificates(good, (11, 3))
+    with pytest.raises(ValueError):
+        surjectivity_certificates(CurveModel.short(Fraction(1, 4), 1), (11,))
+    assert surjectivity_certificates(good, ()) == {}
 
 
 def _group_pairs(group):
