@@ -31,7 +31,7 @@ from .matgroup import MatrixGroup, are_conjugate, is_applicable
 from .modcurve import (
     named_curve,
     named_curves,
-    rational_point_search,
+    rational_torsion,
     torsion_bound_cyclotomic,
     two_division_shape,
 )
@@ -79,7 +79,7 @@ __all__ = [
     "orbits",
     "projective_image",
     "quadratic_subfield",
-    "rational_point_search",
+    "rational_torsion",
     "run_all",
     "run_claim",
     "squarefree_part",

@@ -109,7 +109,6 @@ class ClaimReport:
 
 _SCAN_BOUND = 10 ** 6  # count_points refuses primes above it
 _SAMPLE_BOUND_RANGE = (3, _SCAN_BOUND)
-_HEIGHT_BOUND_RANGE = (1, 2000)  # the point search costs O(h^2)
 
 
 def _bounded_int(name: str, value, lo: int, hi: int) -> None:
@@ -142,12 +141,10 @@ def _torsion_prime_lists(raw) -> dict:
 class Config:
     """Prime lists and bounds the claims read; checked on construction."""
     sample_bound: int = 10 ** 4
-    height_bound: int = 1000
     torsion_primes: dict = field(default_factory=dict)  # curve label -> primes
 
     def __post_init__(self):
         _bounded_int("sample_bound", self.sample_bound, *_SAMPLE_BOUND_RANGE)
-        _bounded_int("height_bound", self.height_bound, *_HEIGHT_BOUND_RANGE)
         object.__setattr__(self, "torsion_primes",
                            _torsion_prime_lists(self.torsion_primes))
 
@@ -157,7 +154,7 @@ class Config:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        known = {"sample_bound", "height_bound", "torsion_primes"}
+        known = {"sample_bound", "torsion_primes"}
         extra = set(raw) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -411,9 +408,7 @@ def _torsion_claim(label: str, r: int, gcd_bound: int, structure_bound: int,
                    points: int, config: Config) -> tuple[dict, dict]:
     curve = named_curve(label)
     qs = config.torsion_primes.get(label)
-    report = torsion_bound_cyclotomic(
-        curve, r, qs=qs, height_bound=config.height_bound
-    )
+    report = torsion_bound_cyclotomic(curve, r, qs=qs)
     expected = {
         "gcd_bound": gcd_bound,
         "structure_bound": structure_bound,

@@ -8,10 +8,11 @@ such counts bounds the torsion order, but it is an isogeny invariant and
 cannot fall below the largest torsion in the isogeny class.  Comparing
 group structures instead is sharper: with the l-part of E(F_q) written
 Z/l^a x Z/l^b (a <= b), the l-part of the torsion has order at most
-l^(min a + min b), minima over the primes q.  A height-bounded point
-search gives a lower bound, the rational torsion, which need not meet
-either upper bound.  Nothing here touches ranks, so every report states
-that the bound is one-sided.
+l^(min a + min b), minima over the primes q.  The rational torsion
+E(Q)_tors, found exactly by Nagell-Lutz, is a subgroup of the torsion over
+Q(zeta_r) and so a lower bound, which need not meet either upper bound.
+Nothing here touches ranks, so every report states that the bound is
+one-sided.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import BadReduction, NoValidPrimes
 from .modfield import validate_modulus
 from .pointcount import count_by_x_scan
 from .ratcurves import (CubicFactorType, CurveModel, _cubic_shape, _factor_positive,
-                        is_probable_prime)
+                        is_probable_prime, rational_roots_cubic)
 
 _CURVE_FILE = "x0_curves.txt"
 _POINT_CAP = 16  # order search cutoff; rational torsion orders stay below it
@@ -93,6 +94,13 @@ class NamedCurve:
 
 @dataclass(frozen=True)
 class TorsionBoundReport:
+    """Upper bounds for #E(Q(zeta_r))_tors and the exact order of E(Q)_tors.
+
+    gcd_bound and structure_bound come from the counts #E(F_q) at the split
+    good primes q in `primes`; rational_points_found is #E(Q)_tors, point at
+    infinity included.  The caveat stays: no rank is computed, so nothing
+    shows the upper bounds are met over Q(zeta_r).
+    """
     curve_label: str
     r: int
     primes: tuple[int, ...]
@@ -217,49 +225,36 @@ def primary_structure(model: CurveModel, q: int, ell: int,
     raise AssertionError(f"points mod {q} did not generate the {ell}-part")
 
 
-def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    if n & 63 not in _SQ64:
-        return False
-    return math.isqrt(n) ** 2 == n
+def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
+    """The affine points of E(Q)_tors, exactly, in sorted order.
 
-
-_SQ64 = {(i * i) & 63 for i in range(64)}
-
-
-def rational_point_search(model: CurveModel, height_bound: int) -> tuple[Point, ...]:
-    """All affine points x = a/b^2, y = c/b^3 with |a|, |b|, |c| bounded.
-
-    Clearing denominators turns the curve equation into a monic quadratic
-    in c with integer coefficients per (a, b), so each candidate costs one
-    discriminant square test.  On an integral model every rational point
-    has this shape, and torsion points on the named minimal models land
-    well inside bound 1000.
+    On the integral short model Y^2 = X^3 + AX + B with A = -27 c4,
+    B = -54 c6, reached by X = 36x + 3 b2 and Y = 108(2y + a1 x + a3), a
+    torsion point has integer coordinates and Y = 0 or Y^2 | 4A^3 + 27B^2
+    = -2^8 3^12 Delta (Nagell-Lutz, Silverman AEC VIII.7).  Each candidate
+    Y gives the integer roots X of X^3 + AX + B - Y^2; a candidate is kept
+    when the group law reaches infinity within _POINT_CAP steps, which
+    Mazur's bound (orders at most 12) makes exact.
     """
-    a1, a2, a3, a4, a6 = (int(c) for c in model.coefficients())
+    if not model.is_integral():
+        raise ValueError("integral model required")
+    b2, b4, b6 = model.b2, model.b4, model.b6
+    c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    short = CurveModel.short(-27 * c4, -54 * c6)
+    disc = abs(int(model.discriminant())) * 2 ** 8 * 3 ** 12
+    ys = [1]
+    for p, e in _factor_positive(disc).items():
+        ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
     found = []
-    for b in range(1, height_bound + 1):
-        b2, b3 = b * b, b * b * b
-        b4, b6 = b2 * b2, b3 * b3
-        for a in range(-height_bound, height_bound + 1):
-            if b > 1 and math.gcd(a, b) != 1:
-                continue
-            p = a1 * a * b + a3 * b3
-            q = ((a + a2 * b2) * a + a4 * b4) * a + a6 * b6
-            disc = p * p + 4 * q
-            if not _is_perfect_square(disc):
-                continue
-            root = math.isqrt(disc)
-            for c2 in (-p + root, -p - root):
-                if c2 % 2:
+    for y_short in [0] + ys:
+        for x_short in rational_roots_cubic(1, 0, short.a4, short.a6 - y_short * y_short):
+            for pt in {(x_short, Fraction(y_short)), (x_short, Fraction(-y_short))}:
+                if point_order(short, pt) is None:
                     continue
-                c = c2 // 2
-                if abs(c) > height_bound:
-                    continue
-                pt = (Fraction(a, b2), Fraction(c, b3))
-                if pt not in found:
-                    found.append(pt)
+                x = (x_short - 3 * b2) / 36
+                back = (x, (pt[1] / 108 - model.a1 * x - model.a3) / 2)
+                assert on_curve(short, pt) and on_curve(model, back)
+                found.append(back)
     found.sort()
     return tuple(found)
 
@@ -310,17 +305,19 @@ def _load_curves() -> dict[str, NamedCurve]:
 def _validate_curve(curve: NamedCurve) -> None:
     # CurveModel construction already rejected singular models
     model = curve.model
-    points = rational_point_search(model, 50)
-    orders = {point_order(model, pt) for pt in points}
-    if curve.expected_rational_torsion not in orders:
+    points = rational_torsion(model)
+    orders = {1} | {point_order(model, pt) for pt in points}
+    if (len(points) + 1 != curve.expected_rational_torsion
+            or curve.expected_rational_torsion not in orders):
         raise ValueError(
-            f"{curve.label}: no rational point of order "
-            f"{curve.expected_rational_torsion} found"
+            f"{curve.label}: rational torsion has {len(points) + 1} points and "
+            f"element orders {sorted(orders)}, not cyclic of order "
+            f"{curve.expected_rational_torsion}"
         )
     for q in (101, 103):
         if int(model.discriminant()) % q:
             n = count_points(model, q)
-            if abs(n - (q + 1)) > 2 * math.isqrt(4 * q):
+            if (n - q - 1) ** 2 > 4 * q:
                 raise ValueError(f"{curve.label}: Hasse violation at {q}")
 
 
@@ -345,7 +342,6 @@ def torsion_bound_cyclotomic(
     curve: NamedCurve,
     r: int,
     qs: tuple[int, ...] | None = None,
-    height_bound: int = 1000,
 ) -> TorsionBoundReport:
     """Two upper bounds for #E(Q(zeta_r))_tors from split good primes q.
 
@@ -354,9 +350,9 @@ def torsion_bound_cyclotomic(
     E(F_q)[l^oo] = Z/l^a x Z/l^b (a <= b) and the minima run over the
     primes q; it divides gcd_bound.  Neither is claimed tight.  The
     default prime list is the first eight good primes = 1 (mod r) above
-    r, so reports are deterministic.  rational_points_found counts the
-    height-bounded search hits plus the point at infinity, a lower bound
-    for the rational torsion only.
+    r, so reports are deterministic.  rational_points_found is exactly
+    #E(Q)_tors (rational_torsion plus the point at infinity), which
+    divides the torsion order over Q(zeta_r) and so both bounds.
     """
     validate_modulus(r)
     model = curve.model
@@ -379,7 +375,7 @@ def torsion_bound_cyclotomic(
     for ell in _factor_positive(bound):
         shapes = [primary_structure(model, q, ell, n) for q, n in zip(qs, counts)]
         structure *= ell ** (min(a for a, _ in shapes) + min(b for _, b in shapes))
-    found = len(rational_point_search(model, height_bound)) + 1
+    found = len(rational_torsion(model)) + 1
     return TorsionBoundReport(
         curve.label, r, qs, counts, bound, structure, found
     )

@@ -8,8 +8,7 @@ from isogate.cyclo import is_square_in_cyclotomic, full_two_torsion_over_cycloto
 from isogate.gatefinder import find_gate_groups, plus_minus_related
 from isogate.linaction import acts_freely, fixed_lines, orbits, projective_image
 from isogate.matgroup import gl2_order, is_applicable, mat_det, mat_trace
-from isogate.modcurve import (named_curve, rational_point_search,
-                              torsion_bound_cyclotomic, two_division_shape)
+from isogate.modcurve import named_curve, torsion_bound_cyclotomic, two_division_shape
 from isogate.ratcurves import (certificate_criteria, disc_square_class_of_j,
                                family_membership, has_rational_two_torsion,
                                parse_rational_expr, two_division_cubic,

@@ -80,7 +80,6 @@ def test_report_to_dict():
 def test_config(tmp_path):
     c = Config()
     assert c.sample_bound == 10 ** 4
-    assert c.height_bound == 1000
     assert c.torsion_primes == {}
 
     path = tmp_path / "conf.json"
@@ -90,7 +89,6 @@ def test_config(tmp_path):
     }))
     c = Config.from_json(str(path))
     assert c.sample_bound == 500
-    assert c.height_bound == 1000
     assert c.torsion_primes == {"X0(14)": (29, 43)}
 
     path.write_text(json.dumps({"sample_bound": 500, "verbose": True}))
@@ -116,6 +114,7 @@ def test_config(tmp_path):
     {"torsion_primes": {"X0(14)": [2]}},
     {"torsion_primes": {"X0(14)": ["29"]}},
     {"torsion_primes": {"X0(14)": [1000033]}},
+    {"height_bound": 1000},
 ])
 def test_config_rejects_bad_values(tmp_path, raw):
     path = tmp_path / "conf.json"
@@ -126,12 +125,12 @@ def test_config_rejects_bad_values(tmp_path, raw):
 
 def test_config_accepts_range_ends(tmp_path):
     path = tmp_path / "conf.json"
-    path.write_text(json.dumps({"sample_bound": 3, "height_bound": 2000,
+    path.write_text(json.dumps({"sample_bound": 3,
                                 "torsion_primes": {"X0(11)": [3, 999983]}}))
     c = Config.from_json(str(path))
-    assert (c.sample_bound, c.height_bound) == (3, 2000)
+    assert c.sample_bound == 3
     assert c.torsion_primes == {"X0(11)": (3, 999983)}
-    assert Config(sample_bound=10 ** 6, height_bound=1).sample_bound == 10 ** 6
+    assert Config(sample_bound=10 ** 6).sample_bound == 10 ** 6
 
 
 def test_failing_claim_does_not_abort_run(monkeypatch):

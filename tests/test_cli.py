@@ -124,6 +124,7 @@ def test_torsion_bound_unknown_curve(capsys):
     {"torsion_primes": {"X0(14)": [30]}},
     {"torsion_primes": {"X0(14)": [2]}},
     {"torsion_primes": [29]},
+    {"height_bound": 1000},
 ])
 def test_verify_config_bad_values(tmp_path, capsys, raw):
     conf = tmp_path / "conf.json"

@@ -2,14 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isogate.errors import BadReduction, NoValidPrimes
+from isogate import modcurve
+from isogate.errors import BadReduction, NoValidPrimes, SingularCurve
 from isogate.modcurve import (RANK_CAVEAT, NamedCurve, add_points,
                               add_points_mod, count_points, good_split_primes,
                               multiply_mod, named_curve, named_curves, negate,
                               on_curve, point_order, primary_structure,
-                              rational_point_search, torsion_bound_cyclotomic,
+                              rational_torsion, torsion_bound_cyclotomic,
                               two_division_shape)
+from isogate.pointcount import primes_upto
 from isogate.ratcurves import CurveModel
 
 X011 = named_curve("X0(11)")
@@ -120,15 +123,15 @@ def test_torsion_bound_defaults():
 
 def test_torsion_bound_explicit_lists():
     # shorter hand-picked lists; prefixes of the defaults, same gcds
-    rep = torsion_bound_cyclotomic(X014, 7, (29, 43, 71, 113, 127), height_bound=100)
+    rep = torsion_bound_cyclotomic(X014, 7, (29, 43, 71, 113, 127))
     assert rep.counts == (36, 36, 72, 108, 144)
     assert rep.gcd_bound == 36
     assert rep.structure_bound == 12
-    rep = torsion_bound_cyclotomic(X020, 5, (11, 31, 41, 61, 71), height_bound=100)
+    rep = torsion_bound_cyclotomic(X020, 5, (11, 31, 41, 61, 71))
     assert rep.counts == (12, 36, 36, 60, 84)
     assert rep.gcd_bound == 12
     assert rep.structure_bound == 6
-    rep = torsion_bound_cyclotomic(X011, 11, (23, 67, 89, 199), height_bound=100)
+    rep = torsion_bound_cyclotomic(X011, 11, (23, 67, 89, 199))
     assert rep.counts == (25, 75, 75, 200)
     assert rep.gcd_bound == 25
     assert rep.structure_bound == 25  # every 5-part here is Z/25
@@ -146,14 +149,14 @@ def test_torsion_bound_monotonicity_bullet():
                 assert prev % bound == 0
             prev = bound
     # same property through the public report builder
-    one = torsion_bound_cyclotomic(X014, 7, (29,), height_bound=50).gcd_bound
-    two = torsion_bound_cyclotomic(X014, 7, (29, 71), height_bound=50).gcd_bound
+    one = torsion_bound_cyclotomic(X014, 7, (29,)).gcd_bound
+    two = torsion_bound_cyclotomic(X014, 7, (29, 71)).gcd_bound
     assert two <= one and one % two == 0
 
 
 def test_sandwich_bullet():
     for curve, r in ((X014, 7), (X020, 5), (X011, 11)):
-        rep = torsion_bound_cyclotomic(curve, r, height_bound=100)
+        rep = torsion_bound_cyclotomic(curve, r)
         assert rep.gcd_bound % rep.rational_points_found == 0
         assert rep.structure_bound % rep.rational_points_found == 0
         assert rep.gcd_bound % rep.structure_bound == 0
@@ -217,6 +220,53 @@ def test_torsion_bound_errors():
         torsion_bound_cyclotomic(X011, 5, ())
 
 
+def _is_perfect_square(n: int) -> bool:
+    if n < 0:
+        return False
+    if n & 63 not in _SQ64:
+        return False
+    return math.isqrt(n) ** 2 == n
+
+
+_SQ64 = {(i * i) & 63 for i in range(64)}
+
+
+def rational_point_search(model: CurveModel, height_bound: int):
+    """All affine points x = a/b^2, y = c/b^3 with |a|, |b|, |c| bounded.
+
+    The height-bounded reference for rational_torsion.  Clearing
+    denominators turns the curve equation into a monic quadratic in c with
+    integer coefficients per (a, b), so each candidate costs one
+    discriminant square test.  On an integral model every rational point
+    has this shape.
+    """
+    a1, a2, a3, a4, a6 = (int(c) for c in model.coefficients())
+    found = []
+    for b in range(1, height_bound + 1):
+        b2, b3 = b * b, b * b * b
+        b4, b6 = b2 * b2, b3 * b3
+        for a in range(-height_bound, height_bound + 1):
+            if b > 1 and math.gcd(a, b) != 1:
+                continue
+            p = a1 * a * b + a3 * b3
+            q = ((a + a2 * b2) * a + a4 * b4) * a + a6 * b6
+            disc = p * p + 4 * q
+            if not _is_perfect_square(disc):
+                continue
+            root = math.isqrt(disc)
+            for c2 in (-p + root, -p - root):
+                if c2 % 2:
+                    continue
+                c = c2 // 2
+                if abs(c) > height_bound:
+                    continue
+                pt = (Fraction(a, b2), Fraction(c, b3))
+                if pt not in found:
+                    found.append(pt)
+    found.sort()
+    return tuple(found)
+
+
 def test_rational_point_search():
     pts = rational_point_search(X014.model, 1000)
     assert pts == ((1, -1), (2, -5), (2, 2), (9, -33), (9, 23))
@@ -225,6 +275,105 @@ def test_rational_point_search():
         (5, -6), (5, 5), (16, -61), (16, 60))
     assert rational_point_search(CurveModel(0, 0, 0, -1, 0), 10) == (
         (-1, 0), (0, 0), (1, 0))
+
+
+MAZUR_ORDERS = frozenset(range(1, 11)) | {12}
+
+
+def test_rational_torsion_matches_reference_search():
+    for curve in named_curves().values():
+        points = rational_torsion(curve.model)
+        assert points == rational_point_search(curve.model, 100)
+        assert len(points) + 1 == curve.expected_rational_torsion
+
+
+def test_rational_torsion_known_groups():
+    cases = (((0, 0, 0, 0, 1), 6), ((0, 0, 0, -1, 0), 4),
+             ((0, 0, 0, 1, 0), 2), ((0, 0, 0, 0, -2), 1))
+    for coeffs, order in cases:
+        assert len(rational_torsion(CurveModel(*coeffs))) + 1 == order
+    # y^2 = x^3 - 2 has rational points, all of infinite order
+    model = CurveModel(0, 0, 0, 0, -2)
+    assert rational_point_search(model, 30) == ((3, -5), (3, 5))
+    assert rational_torsion(model) == ()
+
+
+def _tate_normal_form(b, c):
+    """y^2 + (1 - c)xy - by = x^3 - bx^2, on which (0, 0) is a point."""
+    return CurveModel(1 - c, -b, -b, 0, 0)
+
+
+# (N, b, c) with (0, 0) of order N, from Kubert's parametrizations at
+# integer t; for N = 8, 10, 12 only the listed t give integral models
+TATE_CASES = (
+    (4, 3, 0), (4, -2, 0),                      # b = t, c = 0
+    (5, 2, 2), (5, -3, -3),                     # b = c = t
+    (6, 6, 2), (6, 2, -2),                      # b = t + t^2, c = t
+    (7, 4, 2), (7, 18, 6), (7, -2, 2),          # b = t^3 - t^2, c = t^2 - t
+    (8, 6, -6),                                 # t = -1
+    (9, 12, 4), (9, -6, -2),                    # c = t^2(t - 1), b = c(t^2 - t + 1)
+    (10, 24, 6), (10, 270, -30),                # t = 2, 3
+    (12, 210, -42),                             # t = 2
+)
+
+
+def test_rational_torsion_tate_normal_forms():
+    for n, b, c in TATE_CASES:
+        model = _tate_normal_form(b, c)
+        origin = (Fraction(0), Fraction(0))
+        assert point_order(model, origin) == n, (n, b, c)
+        points = rational_torsion(model)
+        assert origin in points
+        assert (len(points) + 1) % n == 0, (n, b, c, len(points) + 1)
+
+
+def test_rational_torsion_rejects_non_integral_model():
+    with pytest.raises(ValueError):
+        rational_torsion(CurveModel(0, 0, 0, Fraction(1, 2), 0))
+
+
+_SMALL = st.integers(-12, 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1), _SMALL, _SMALL)
+def test_rational_torsion_properties(a1, a2, a3, a4, a6):
+    try:
+        model = CurveModel(a1, a2, a3, a4, a6)
+    except SingularCurve:
+        return
+    points = rational_torsion(model)
+    for pt in points:
+        assert on_curve(model, pt)
+        assert point_order(model, pt) in MAZUR_ORDERS
+    # torsion injects into E(F_q) at every odd prime of good reduction
+    disc = int(model.discriminant())
+    qs = [q for q in primes_upto(200) if q > 2 and disc % q][:5]
+    for q in qs:
+        assert count_points(model, q) % (len(points) + 1) == 0, q
+    for pt in rational_point_search(model, 30):
+        if point_order(model, pt) is not None:
+            assert pt in points
+
+
+def test_load_rejects_hasse_violation(monkeypatch):
+    # 30 is past the Hasse bound 2 sqrt(101) ~ 20.1 but under 40, where a
+    # check against 2 isqrt(4q) would let it through
+    real = modcurve.count_points
+    monkeypatch.setattr(modcurve, "count_points",
+                        lambda model, q: q + 1 + 30 if q == 101 else real(model, q))
+    with pytest.raises(ValueError, match="Hasse violation at 101"):
+        modcurve._load_curves()
+
+
+def test_validate_curve_checks_torsion_group():
+    modcurve._validate_curve(NamedCurve("X0(11)", X011.model, 5))
+    for order in (1, 10):
+        with pytest.raises(ValueError, match="rational torsion"):
+            modcurve._validate_curve(NamedCurve("X0(11)", X011.model, order))
+    # Z/2 x Z/2 has four points but no point of order 4
+    with pytest.raises(ValueError, match="rational torsion"):
+        modcurve._validate_curve(NamedCurve("split", CurveModel(0, 0, 0, -1, 0), 4))
 
 
 def test_two_division_shape():

@@ -6,7 +6,8 @@ import pytest
 from isogate.errors import (InsufficientSamples, SingularCurve, Undecided,
                             ZeroParameter)
 from isogate.matgroup import mat_det, mat_trace
-from isogate.ratcurves import (CurveModel, certificate_criteria, curve_from_j,
+from isogate.ratcurves import (CurveModel, _factor_positive, certificate_criteria,
+                               curve_from_j,
                                disc_square_class_of_j, discriminant,
                                family_membership, format_rational,
                                frobenius_samples, g3_family_j,
@@ -129,6 +130,49 @@ def test_rational_roots_cubic():
     assert rational_roots_cubic(1, 0, 0, -8) == [2]
     assert rational_roots_cubic(2, -3, 0, 0) == [0, Fraction(3, 2)]
     assert rational_roots_cubic(1, 0, 1, 1) == []
+
+
+def test_factor_positive_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(210)
+    cases = [1, 2, 2 ** 40, 3 ** 12 * 11 ** 5, 999983 ** 2, 1000003 ** 2]
+    cases += [rng.randrange(1, 10 ** 12) for _ in range(40)]
+    # cofactors past the trial-division bound: rho splits, squares, primes
+    for _ in range(15):
+        p = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 9))
+        q = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 9))
+        cases += [p * q, p * p * rng.randrange(1, 1000), p]
+    for n in cases:
+        expected = {int(p): e for p, e in sympy.factorint(n).items()}
+        assert _factor_positive(n) == expected, n
+
+
+def _random_cubic(rng):
+    """Coefficients (c3, c2, c1, c0) of a cubic, often with rational roots."""
+    def rat():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [Fraction(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(4)]
+    roots = [rat() for _ in range(kind)]
+    coeffs = [rat() for _ in range(4 - kind)]  # degree 3 - kind
+    coeffs[0] = coeffs[0] or Fraction(1)
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_rational_roots_cubic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(211)
+    repeated = [[3, -4, -1, 2], [1, -3, 3, -1], [Fraction(1, 2), 0, 0, 0]]
+    for coeffs in repeated + [_random_cubic(rng) for _ in range(200)]:
+        coeffs = [Fraction(c) for c in coeffs]
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x)
+        expected = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+        assert rational_roots_cubic(*coeffs) == expected, coeffs
 
 
 def test_root_free_witness():
