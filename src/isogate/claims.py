@@ -35,6 +35,7 @@ from .linaction import acts_freely, fixed_lines, orbits, projective_image
 from .matgroup import are_conjugate
 from .modcurve import (named_curve, named_curves, torsion_bound_cyclotomic,
                        two_division_shape)
+from .modfield import supported_moduli
 from .ratcurves import (
     CurveModel,
     curve_from_j,
@@ -486,7 +487,7 @@ def _claim_cm_filter(config: Config, moduli) -> tuple[dict, dict]:
             "0", "2^6*3^3", "2^4*3^3*5^3", "2^3*3^3*11^3", "-3^3*5^3",
             "3^3*5^3*17^3", "2^6*5^3",
         ],
-        "survivors": {"7": ["-3^3*5^3", "3^3*5^3*17^3"]},
+        "survivors": {"7": ["-3^3*5^3", "3^3*5^3*17^3"]} if 7 in moduli else {},
     }
     family_cm = [
         rec.j_expr for rec in cm_table() if family_membership(rec.j)
@@ -575,7 +576,8 @@ class ClaimSpec:
     claim_id: str
     description: str
     runner: Callable
-    accepts_moduli: bool = False
+    # which moduli a --r list may name; None when the claim takes no list
+    moduli_rule: Callable[[int], bool] | None = None
 
 
 _REGISTRY: dict[str, ClaimSpec] = {
@@ -586,21 +588,21 @@ _REGISTRY: dict[str, ClaimSpec] = {
             "determinant-one parts of both Cartan normalizers act freely "
             "with no fixed lines, orders 2(r-1) and 2(r+1)",
             _claim_cartan_lemma,
-            accepts_moduli=True,
+            moduli_rule=lambda r: True,
         ),
         ClaimSpec(
             "g3-orbits",
             "the extended cube nonsplit torus has determinant-one part of "
             "order 2(r+1)/3 acting freely; lines survive only at r=5",
             _claim_g3_orbits,
-            accepts_moduli=True,
+            moduli_rule=lambda r: r % 3 == 2,
         ),
         ClaimSpec(
             "gate-search",
             "exhaustive search for proper applicable subgroups with "
             "irreducible action and reducible determinant-one part",
             _claim_gate_search,
-            accepts_moduli=True,
+            moduli_rule=lambda r: str(r) in _GATE_EXPECTED,
         ),
         ClaimSpec(
             "exc-family",
@@ -613,14 +615,14 @@ _REGISTRY: dict[str, ClaimSpec] = {
             "the cube-ratio split torus extension has no line fixed by its "
             "determinant-one part",
             _claim_cube_cartan,
-            accepts_moduli=True,
+            moduli_rule=lambda r: r % 3 == 1,
         ),
         ClaimSpec(
             "cm-criterion",
             "a CM curve gains an r-isogeny over the r-th cyclotomic field "
             "exactly when r divides its tabulated discriminant",
             _claim_cm_criterion,
-            accepts_moduli=True,
+            moduli_rule=lambda r: True,
         ),
         ClaimSpec(
             "family-j",
@@ -639,7 +641,7 @@ _REGISTRY: dict[str, ClaimSpec] = {
             "mod-r surjectivity certificates for the family curves, plus "
             "pinned inconclusive cases",
             _claim_surjectivity,
-            accepts_moduli=True,
+            moduli_rule=lambda r: r >= 5,
         ),
         ClaimSpec(
             "x014-torsion",
@@ -664,7 +666,7 @@ _REGISTRY: dict[str, ClaimSpec] = {
             "the CM j-invariants on the 2-torsion family, and which keep "
             "an r-isogeny for r at least 5",
             _claim_cm_filter,
-            accepts_moduli=True,
+            moduli_rule=lambda r: r >= 5,
         ),
         ClaimSpec(
             "disc-17-37",
@@ -741,8 +743,11 @@ def run_claim(
     if claim_id not in _REGISTRY:
         raise UnknownClaim(f"no claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     spec = _REGISTRY[claim_id]
-    if moduli and not spec.accepts_moduli:
+    if moduli and spec.moduli_rule is None:
         raise ValueError(f"claim {claim_id} does not take a moduli list")
+    for r in moduli or ():
+        if r not in supported_moduli() or not spec.moduli_rule(r):
+            raise ValueError(f"claim {claim_id} does not cover r = {r}")
     config = config or Config()
     params: dict = {}
     if moduli:

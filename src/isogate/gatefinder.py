@@ -6,14 +6,23 @@ is a fixed generator delta of the unit group.  Such a g normalizes H and has
 g^(r-1) in H; conversely every such g gives |<H, g>| = (r-1)|H|, since the
 cosets g^k H have the distinct determinants delta^k.
 
-A reducible H fixes a line, so it is GL2-conjugate into the upper-triangular
-determinant-1 group B = U x| T, where U (the unipotent matrices) has prime
-order r and T = {diag(t, t^-1)} is cyclic of order r-1.  By Schur-Zassenhaus
-every subgroup of B is conjugate to T_d or to U x| T_d for the order-d
-subgroup T_d of T, d | r-1; these 2 tau(r-1) groups are the candidates.
-For each, g runs over the normalizer of H on the GL2 kernel, and <H, g> is
-one closure.  Every survivor is re-verified against the defining predicates
-independently of how it was found.
+A reducible H fixes a line, so it is GL2-conjugate to T_d or to U x| T_d,
+where U is the unipotent upper-triangular group and T_d the order-d
+subgroup of T = {diag(t, t^-1)}, d | r-1.  Only one of these shapes can
+give a gate group G:
+
+- H central (T_1 = {1} or T_2 = {+-I}): G/H is cyclic, so G is abelian.
+  An irreducible abelian G lies in a nonsplit Cartan, where trace 0 and
+  det -1 force x^2 = I, so x = +-I, of trace +-2; G is not applicable.
+- H = U x| T_d: H fixes exactly one line, and G, normalizing H, fixes it
+  too; G is reducible.
+- H = T_d with d > 2: H fixes exactly the two axes, and its normalizer in
+  GL2 is the split Cartan normalizer N(C_s).
+
+So H runs over the T_d with d > 2 and g over the elements of N(C_s) of
+determinant delta, and <H, g> is one closure.  Every survivor is
+re-verified against the defining predicates independently of how it was
+found.
 """
 
 from __future__ import annotations
@@ -22,34 +31,13 @@ from dataclasses import dataclass
 
 from .errors import ModulusMismatch, RangeExceeded
 from .linaction import fixed_lines
-from .matgroup import (Mat, MatrixGroup, are_conjugate, gl2_order, is_applicable,
-                       mat_inv, mat_mul, mat_pow, minus_identity, _kernel,
-                       _require_kernel_range)
+from .matgroup import (IDENT, Mat, MatrixGroup, are_conjugate, gl2_order,
+                       is_applicable, mat_det, mat_inv, mat_mul, mat_pow,
+                       minus_identity)
 from .modfield import generator, validate_modulus
+from .stdgroups import split_cartan_normalizer
 
 _SEARCH_MODULI = (5, 7, 11, 13)
-
-
-def reducible_sl2_candidates(r: int, reference_conjugator: Mat | None = None) -> list[MatrixGroup]:
-    """Reducible subgroups of SL2(F_r) up to GL2-conjugacy: T_d and U x| T_d for d | r-1.
-
-    With a reference conjugator m, each candidate is conjugated by m.
-    """
-    _require_kernel_range(r, "reducible candidate enumeration")
-    g = generator(r)
-    gen_sets = []
-    for d in range(1, r):
-        if (r - 1) % d == 0:
-            t = pow(g, (r - 1) // d, r)
-            torus = (t, 0, 0, pow(t, -1, r))
-            gen_sets += [(torus,), ((1, 1, 0, 1), torus)]
-    if reference_conjugator is not None:
-        m, mi = reference_conjugator, mat_inv(reference_conjugator, r)
-        gen_sets = [[mat_mul(mat_mul(m, x, r), mi, r) for x in gens] for gens in gen_sets]
-    # built from the elements alone, so each carries the greedy generating subset
-    out = [MatrixGroup(r, MatrixGroup.close(gens, r).elements) for gens in gen_sets]
-    out.sort(key=lambda h: (h.order, h.elements))
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,23 +60,36 @@ def plus_minus_related(g_group: MatrixGroup, h_group: MatrixGroup) -> bool:
 
 
 def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGroupResult:
-    """All gate groups up to conjugacy: proper, applicable, irreducible, reducible SL2-part."""
+    """All gate groups up to conjugacy: proper, applicable, irreducible, reducible SL2-part.
+
+    H runs over T_d = <diag(t, t^-1)>, d | r-1 with d > 2, in increasing d,
+    and g over the elements of N(C_s) with determinant delta, in
+    lexicographic order; with a reference conjugator m, both are
+    conjugated by m.
+    """
     validate_modulus(r)
     if r not in _SEARCH_MODULI:
         raise RangeExceeded(f"gate search supports r in {_SEARCH_MODULI}, got {r}")
     delta = generator(r)
-    k = _kernel(r)
+    m = IDENT if reference_conjugator is None else reference_conjugator
+    mi = mat_inv(m, r)
+    # elements are stored sorted, so the extenders come in lexicographic order
+    normalizer = split_cartan_normalizer(r).conjugate_by(m)
+    extenders = [g for g in normalizer if mat_det(g, r) == delta]
     found: dict = {}
-    for h_group in reducible_sl2_candidates(r, reference_conjugator):
-        h_codes = h_group._code_array()
-        norm = k.gl[k.conjugators([k.code(x) for x in h_group.generators], h_codes)]
-        built = k.mask(h_codes)
-        for code in norm[k.trace_det[norm] % r == delta].tolist():
-            g = k.gl_mats[k.gl_index[code]]
-            if built[code] or mat_pow(g, r - 1, r) not in h_group:
+    for d in range(3, r):
+        if (r - 1) % d:
+            continue
+        t = pow(delta, (r - 1) // d, r)
+        torus = mat_mul(mat_mul(m, (t, 0, 0, pow(t, -1, r)), r), mi, r)
+        # built from the elements alone, so it carries the greedy generating subset
+        h_group = MatrixGroup(r, MatrixGroup.close([torus], r).elements)
+        built: set = set()
+        for g in extenders:
+            if g in built or mat_pow(g, r - 1, r) not in h_group:
                 continue
             cand = MatrixGroup.close(h_group.generators + (g,), r)
-            built[cand._code_array()] = True
+            built.update(cand.elements)
             if not _verify_gate_group(cand, r):
                 continue
             bucket = found.setdefault(cand.fingerprint(), [])

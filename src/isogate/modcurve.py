@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .errors import BadReduction, NoValidPrimes
@@ -225,6 +226,7 @@ def primary_structure(model: CurveModel, q: int, ell: int,
     raise AssertionError(f"points mod {q} did not generate the {ell}-part")
 
 
+@lru_cache(maxsize=8)
 def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
     """The affine points of E(Q)_tors, exactly, in sorted order.
 

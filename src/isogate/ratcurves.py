@@ -296,53 +296,12 @@ def _poly_eval(coeffs, x):
     return out
 
 
-def _poly_derivative(coeffs):
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    quot = []
-    while len(num) >= len(den):
-        lead = num[0] / den[0]
-        quot.append(lead)
-        for i in range(len(den)):
-            num[i] -= lead * den[i]
-        assert num[0] == 0
-        num.pop(0)
-    while num and num[0] == 0 and len(num) > 1:
-        num.pop(0)
-    return quot, num
-
-
-def _poly_gcd(p, q):
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    while any(c != 0 for c in q):
-        _, rem = _poly_divmod(p, q)
-        if all(c == 0 for c in rem):
-            p, q = q, []
-        else:
-            p, q = q, rem
-    return [c / p[0] for c in p]
-
-
-def _squarefree_reduction(coeffs):
-    """Divide out repeated factors; returns primitive integer coefficients."""
-    gcd = _poly_gcd(coeffs, _poly_derivative(coeffs))
-    if len(gcd) > 1:
-        coeffs, rem = _poly_divmod(coeffs, gcd)
-        assert all(c == 0 for c in rem)
-    lcm = 1
-    for c in coeffs:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(Fraction(c) * lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
+def _primitive_integer(coeffs):
+    """Integer coefficients proportional to the given rationals, with content 1."""
+    coeffs = [Fraction(c) for c in coeffs]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    content = math.gcd(*ints)
     return [c // content for c in ints]
 
 
@@ -382,7 +341,7 @@ def _monotone_integer_root(coeffs, lo: int, hi: int, increasing: bool):
 
 
 def _integer_roots(coeffs: list[int]) -> list[int]:
-    """All integer roots of a squarefree monic integer polynomial, degree <= 3.
+    """All integer roots of a monic integer polynomial of degree <= 3.
 
     The real line is cut at the critical points into monotone regions; a
     binary search on each region finds its root, if any.  No coefficient
@@ -418,16 +377,16 @@ def _integer_roots(coeffs: list[int]) -> list[int]:
 def rational_roots_cubic(c3: Rational, c2: Rational, c1: Rational, c0: Rational) -> list[Fraction]:
     """All distinct rational roots of c3 x^3 + c2 x^2 + c1 x + c0, exactly.
 
-    The polynomial is made squarefree and primitive, then rescaled to a
-    monic integer polynomial whose rational roots are integers; every
-    candidate is verified against the original coefficients.
+    The polynomial is made primitive, then rescaled to a monic integer
+    polynomial whose rational roots are integers; every candidate is
+    verified against the original coefficients.
     """
     coeffs = [Fraction(c) for c in (c3, c2, c1, c0)]
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) <= 1:
         raise ValueError("degenerate polynomial")
-    ints = _squarefree_reduction(coeffs)
+    ints = _primitive_integer(coeffs)
     lead = ints[0]
     # y = lead * x turns lead*x^3 + ... into a monic polynomial in y
     monic = [1] + [ints[i] * lead ** (i - 1) for i in range(1, len(ints))]
@@ -443,7 +402,7 @@ _WITNESS_PRIMES = tuple(p for p in primes_upto(2000) if p > 3)
 def root_free_witness(coeffs) -> int | None:
     """A prime q not dividing the leading coefficient modulo which the
     polynomial has no root; certifies the absence of rational roots."""
-    ints = _squarefree_reduction([Fraction(c) for c in coeffs])
+    ints = _primitive_integer(coeffs)
     for q in _WITNESS_PRIMES:
         if ints[0] % q == 0:
             continue

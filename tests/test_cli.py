@@ -34,6 +34,35 @@ def test_verify_with_moduli(capsys):
     assert "status: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["cartan-lemma", "--r", "4"],
+    ["gate-search", "--r", "17"],
+    ["surjectivity", "--r", "3"],
+    ["cube-cartan", "--r", "5"],
+    ["g3-orbits", "--r", "7"],
+])
+def test_verify_rejects_off_domain_moduli(capsys, argv):
+    # a modulus outside the claim's domain is an input error, not a failed claim
+    assert main(["verify", "--claim", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cm-filter", "--r", "5", "11"],
+    ["cm-filter", "--r", "7"],
+    ["cm-criterion", "--r", "3"],
+    ["gate-search", "--r", "13"],
+    ["surjectivity", "--r", "5"],
+    ["cube-cartan", "--r", "13"],
+    ["g3-orbits", "--r", "11"],
+])
+def test_verify_in_domain_moduli(capsys, argv):
+    assert main(["verify", "--claim", *argv]) == 0
+    assert "status: pass" in capsys.readouterr().out
+
+
 def test_verify_json_report(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["verify", "--claim", "sqrt-rule", "--json", str(out)]) == 0

@@ -130,6 +130,10 @@ def test_rational_roots_cubic():
     assert rational_roots_cubic(1, 0, 0, -8) == [2]
     assert rational_roots_cubic(2, -3, 0, 0) == [0, Fraction(3, 2)]
     assert rational_roots_cubic(1, 0, 1, 1) == []
+    # repeated roots: found on the monotone pieces without a squarefree step
+    assert rational_roots_cubic(1, 0, -3, 2) == [-2, 1]  # (x-1)^2 (x+2)
+    assert rational_roots_cubic(8, -36, 54, -27) == [Fraction(3, 2)]  # (2x-3)^3
+    assert family_membership(0) == (-16,)  # (t+16)^3
 
 
 def test_factor_positive_matches_sympy():
