@@ -429,9 +429,29 @@ def _torsion_claim(label: str, r: int, gcd_bound: int, structure_bound: int,
     return expected, computed
 
 
+def _exact_torsion_order(shape, rational_points: int, structure_bound: int,
+                         r: int) -> int | None:
+    """#E(Q(zeta_r))_tors when a certified lower bound meets the upper one.
+
+    E[2] lies in E(Q(zeta_r)) when the 2-division cubic splits over Q, or
+    has one rational root and a discriminant class that is a square in
+    Q(zeta_r).  Then E[2] and E(Q)_tors generate a subgroup of order
+    4 |E(Q)_tors| / |E(Q)[2]|, where |E(Q)[2]| is one more than the number
+    of rational roots.  None when that lower bound is below
+    `structure_bound`.
+    """
+    full_two = shape.shape == "three_rational_roots" or (
+        shape.shape == "one_rational_root"
+        and is_square_in_cyclotomic(shape.disc_class, r))
+    lower = 4 * rational_points // (1 + len(shape.roots)) if full_two else rational_points
+    return lower if lower == structure_bound else None
+
+
 def _claim_x014(config: Config, moduli) -> tuple[dict, dict]:
     # the gcd over split good primes is 36, an isogeny invariant stuck
-    # above the field torsion order 12 that the structure bound reaches
+    # above the field torsion order 12 that the structure bound reaches;
+    # E[2] (class -7, a square in Q(zeta_7)) and the rational Z/6 give the
+    # matching lower bound Z/2 x Z/6
     expected, computed = _torsion_claim("X0(14)", 7, 36, 12, 6, config)
     expected["two_division"] = {"shape": "one_rational_root", "disc_class": -7}
     shape = two_division_shape(named_curve("X0(14)"))
@@ -439,6 +459,9 @@ def _claim_x014(config: Config, moduli) -> tuple[dict, dict]:
         "shape": shape.shape,
         "disc_class": shape.disc_class,
     }
+    expected["torsion_order"] = 12
+    computed["torsion_order"] = _exact_torsion_order(
+        shape, computed["rational_points"], computed["structure_bound"], 7)
     return expected, computed
 
 
@@ -645,8 +668,9 @@ _REGISTRY: dict[str, ClaimSpec] = {
         ),
         ClaimSpec(
             "x014-torsion",
-            "reduction gcd and structure bounds, rational point count, and "
-            "2-division shape for X0(14) over the 7th cyclotomic field",
+            "reduction gcd and structure bounds, rational point count, "
+            "2-division shape and exact torsion order for X0(14) over the 7th "
+            "cyclotomic field",
             _claim_x014,
         ),
         ClaimSpec(

@@ -5,6 +5,12 @@ Models from j-invariants, discriminants and their square classes,
 the two parameterized j-families, and surjectivity certification of the
 mod-r Galois image from Frobenius (trace, det) samples.
 
+The square class of the 2-division discriminant needs no large factoring:
+for the model (A, B) = (3jk, 2jk^2), k = 1728 - j, of `curve_from_j`, the
+discriminant of x^3 + Ax + B is (432jk)^2 (j - 1728), so its class is that
+of j - 1728.  The class is checked against the discriminant exactly, by
+integer square roots of numerator and denominator.
+
 All rational arithmetic uses fractions.Fraction; nothing here is floating
 point.  Root finding never factors the (possibly 40-digit) coefficients:
 positive answers come from exact bisection plus verification, negative
@@ -187,18 +193,27 @@ def _factor_positive(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _squarefree_int(n: int) -> int:
+    """Squarefree part of the integer n >= 1.
+
+    Memoised on the integer, so a class asked for twice (as an int and as
+    an equal Fraction, say) is factored once.
+    """
+    out = 1
+    for p, e in _factor_positive(n).items():
+        if e % 2:
+            out *= p
+    return out
+
+
 def squarefree_part(q: Rational) -> int:
     """The unique squarefree integer d with q/d a square in Q."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in _factor_positive(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    return _squarefree_int(n) if n > 0 else -_squarefree_int(-n)
 
 
 # ---- Weierstrass models ----
@@ -422,12 +437,29 @@ class CubicFactorType:
     witness_prime: int | None
 
 
-def _cubic_shape(c3, c2, c1, c0) -> CubicFactorType:
+def _is_rational_square(q: Fraction) -> bool:
+    """Whether q is the square of a nonzero rational (q in lowest terms)."""
+    num, den = q.numerator, q.denominator
+    return num > 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
+
+
+def _cubic_shape(c3, c2, c1, c0, disc_class: int | None = None) -> CubicFactorType:
+    """Shape over Q of c3 x^3 + c2 x^2 + c1 x + c0 and its discriminant's class.
+
+    A caller that knows the square class passes it as `disc_class`; it is
+    then checked exactly (disc * disc_class must be a nonzero rational
+    square) instead of read off a factored discriminant.  A class that
+    fails the check is a program fault and raises AssertionError.
+    """
     roots = rational_roots_cubic(c3, c2, c1, c0)
     c3, c2, c1, c0 = (Fraction(c) for c in (c3, c2, c1, c0))
     disc = (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
             - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
-    disc_class = squarefree_part(disc) if disc != 0 else 1
+    if disc_class is None:
+        disc_class = squarefree_part(disc) if disc != 0 else 1
+    elif not _is_rational_square(disc * disc_class):
+        raise AssertionError(f"{disc_class} is not the square class of the "
+                             f"discriminant {format_rational(disc)}")
     if len(roots) >= 2:
         shape = "three_rational_roots"
     elif len(roots) == 1:
@@ -442,9 +474,20 @@ def _cubic_shape(c3, c2, c1, c0) -> CubicFactorType:
 
 
 def two_division_cubic(j: Rational) -> CubicFactorType:
-    """Factorization shape over Q of the 2-division cubic x^3 + Ax + B."""
+    """Factorization shape over Q of the 2-division cubic x^3 + Ax + B.
+
+    For j not in {0, 1728} the model of `curve_from_j` has A = 3jk and
+    B = 2jk^2 with k = 1728 - j, so the cubic's discriminant is
+    -4A^3 - 27B^2 = (432jk)^2 (j - 1728).  Its square class is then that of
+    j - 1728, `disc_square_class_of_j(j)`, which factors a number of about
+    the size of j instead of the 350-bit discriminant; `_cubic_shape`
+    checks the class against the discriminant exactly, by integer square
+    roots.
+    """
+    j = Fraction(j)
     curve = curve_from_j(j)
-    return _cubic_shape(1, 0, curve.a4, curve.a6)
+    disc_class = None if j in (0, 1728) else disc_square_class_of_j(j)
+    return _cubic_shape(1, 0, curve.a4, curve.a6, disc_class)
 
 
 def has_rational_two_torsion(j: Rational) -> bool:

@@ -6,10 +6,11 @@ import pytest
 
 from isogate.claims import (CLAIM_IDS, CRITERION_CLAIMS, FAMILY_J, FAMILY_T,
                             NO_TWO_TORSION_J, ClaimReport, Config,
-                            claim_description, run_all, run_claim,
-                            write_reports)
+                            _exact_torsion_order, claim_description, run_all,
+                            run_claim, write_reports)
 from isogate.errors import UnknownClaim
-from isogate.ratcurves import parse_rational_expr
+from isogate.modcurve import named_curve, two_division_shape
+from isogate.ratcurves import CubicFactorType, parse_rational_expr
 
 
 def test_claim_ids():
@@ -166,6 +167,28 @@ def test_torsion_prime_off_congruence_fails_its_claim_only():
     assert rep.status == "fail"
     assert rep.computed == {"error": "ValueError: 31 is not 1 mod 7"}
     assert run_claim("disc-7", config=config).status == "pass"
+
+
+def test_x014_torsion_order_is_certified_exact():
+    rep = run_claim("x014-torsion")
+    assert rep.status == "pass"
+    assert rep.expected["torsion_order"] == rep.computed["torsion_order"] == 12
+    assert rep.computed["structure_bound"] == 12
+
+
+def test_exact_torsion_order_needs_matching_bounds():
+    # E[2] over Q(zeta_7) needs class -7 (or 1) beside one rational root
+    shape = two_division_shape(named_curve("X0(14)"))
+    assert _exact_torsion_order(shape, 6, 12, 7) == 12
+    assert _exact_torsion_order(shape, 6, 24, 7) is None
+    # -7 is not a square in Q(zeta_5): only the rational Z/6 is certified
+    assert _exact_torsion_order(shape, 6, 12, 5) is None
+    assert _exact_torsion_order(shape, 6, 6, 5) == 6
+    split = CubicFactorType("three_rational_roots", 1, (Fraction(-1), Fraction(0), Fraction(1)), None)
+    assert _exact_torsion_order(split, 4, 4, 7) == 4
+    assert _exact_torsion_order(split, 8, 8, 7) == 8
+    irreducible = two_division_shape(named_curve("X0(11)"))
+    assert _exact_torsion_order(irreducible, 5, 5, 11) == 5
 
 
 def test_write_reports(tmp_path):

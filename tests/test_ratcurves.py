@@ -6,7 +6,8 @@ import pytest
 from isogate.errors import (InsufficientSamples, SingularCurve, Undecided,
                             ZeroParameter)
 from isogate.matgroup import mat_det, mat_trace
-from isogate.ratcurves import (CurveModel, _factor_positive, certificate_criteria,
+from isogate.ratcurves import (CurveModel, _cubic_shape, _factor_positive,
+                               certificate_criteria,
                                curve_from_j,
                                disc_square_class_of_j, discriminant,
                                family_membership, format_rational,
@@ -107,8 +108,12 @@ def test_disc_identity_bullet():
         j = _random_j(rng)
         if j in (0, 1728):
             continue
-        direct = discriminant(curve_from_j(j))
+        curve = curve_from_j(j)
+        direct = discriminant(curve)
         assert direct == -(2 ** 12) * 3 ** 6 * j * j * (1728 - j) ** 3
+        # the 2-division cubic's discriminant, whose class two_division_cubic reads
+        cubic_disc = -4 * curve.a4 ** 3 - 27 * curve.a6 ** 2
+        assert cubic_disc == (432 * j * (1728 - j)) ** 2 * (j - 1728)
         assert disc_square_class_of_j(j) == squarefree_part(direct)
         count += 1
 
@@ -194,6 +199,72 @@ def test_two_division_cubic():
     assert has_rational_two_torsion(2916)
     assert not has_rational_two_torsion(-121)
     assert not has_rational_two_torsion(parse_rational_expr("-17*373^3/2^17"))
+
+
+def _prime_near(rng, lo):
+    n = rng.randrange(lo, 2 * lo) | 1
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+def _two_large_prime_js(seed, count):
+    """Seeded j (ints and fractions, both signs) whose j - 1728 has two
+    prime factors in [10^9, 2*10^9)."""
+    rng = random.Random(seed)
+    js = []
+    for i in range(count):
+        s = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 6, 7, 10, 12))
+        top = s * _prime_near(rng, 10 ** 9) * _prime_near(rng, 10 ** 9)
+        den = rng.choice((2, 9, 5 ** 3, 2 ** 17)) if i % 2 else 1
+        js.append(1728 + Fraction(top, den))
+    return js
+
+
+def test_two_division_cubic_matches_factored_discriminant():
+    # the generic path factors the full discriminant and is the oracle
+    rng = random.Random(17)
+    js = _two_large_prime_js(91, 6)
+    js += [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
+           for _ in range(30)]
+    js += [0, 1728, 1, -1, 2916, -64, parse_rational_expr("-17*373^3/2^17")]
+    for j in js:
+        curve = curve_from_j(j)
+        assert two_division_cubic(j) == _cubic_shape(1, 0, curve.a4, curve.a6), j
+        if j not in (0, 1728):
+            assert two_division_cubic(j).disc_class == disc_square_class_of_j(j)
+
+
+def test_cubic_shape_rejects_a_wrong_disc_class():
+    for j in _two_large_prime_js(23, 2) + [Fraction(-7, 9), 2916]:
+        curve = curve_from_j(j)
+        good = disc_square_class_of_j(j)
+        assert _cubic_shape(1, 0, curve.a4, curve.a6, good).disc_class == good
+        wrong_classes = [-good] + [good * p if good % p else good // p for p in (2, 5)]
+        for wrong in wrong_classes:
+            with pytest.raises(AssertionError):
+                _cubic_shape(1, 0, curve.a4, curve.a6, wrong)
+
+
+def test_two_division_cubic_factors_only_j_minus_1728(monkeypatch):
+    from isogate import ratcurves
+    walked = []
+    real = ratcurves._brent_rho
+
+    def counting(n, c, max_iters):
+        walked.append(n)
+        return real(n, c, max_iters)
+
+    monkeypatch.setattr(ratcurves, "_brent_rho", counting)
+    for j in _two_large_prime_js(61, 4):
+        ratcurves._squarefree_int.cache_clear()
+        walked.clear()
+        # an integral j goes in as an int, as the benchmark passes it; the
+        # Fraction that two_division_cubic passes on must hit the same cache
+        disc_square_class_of_j(j.numerator if j.denominator == 1 else j)
+        two_division_cubic(j)
+        assert len(set(walked)) == 1, j
+        assert walked[0].bit_length() <= 70
 
 
 def test_two_torsion_family():
