@@ -449,10 +449,7 @@ class MatrixGroup:
                 keys = np.fromiter(((a + d) % r * r + (a * d - b * c) % r
                                     for a, b, c, d in self.elements),
                                    dtype=np.int64, count=len(self.elements))
-            counts = np.bincount(keys, minlength=r * r)
-            present = np.flatnonzero(counts).tolist()
-            self._fingerprint = (len(self.elements), tuple(
-                ((key // r, key % r), n) for key, n in zip(present, counts[present].tolist())))
+            self._fingerprint = _trace_det_fingerprint(keys, r)
         return self._fingerprint
 
     def determinant_set(self) -> frozenset:
@@ -469,6 +466,14 @@ class MatrixGroup:
         elems = [mat_mul(mat_mul(m, x, r), mi, r) for x in self.elements]
         gens = tuple(mat_mul(mat_mul(m, g, r), mi, r) for g in self.generators)
         return MatrixGroup(r, elems, gens)
+
+
+def _trace_det_fingerprint(keys: np.ndarray, r: int):
+    """Order plus the (trace, det) multiset, from the elements' keys trace * r + det."""
+    counts = np.bincount(keys, minlength=r * r)
+    present = np.flatnonzero(counts).tolist()
+    return (len(keys), tuple(((key // r, key % r), n)
+                             for key, n in zip(present, counts[present].tolist())))
 
 
 def _generating_subset(members, r: int):

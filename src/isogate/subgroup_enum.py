@@ -11,20 +11,51 @@ For the extension step the candidate generator x only matters up to
 x -> x^-1, x -> xh (h in the subgroup) and conjugation by the subgroup's
 normalizer; x -> hx is (x^-1 h^-1)^-1, so it adds nothing.  One closure
 per orbit of those moves suffices.
+
+Each closure stops at Dickson's bound.  By Dickson's classification (Serre
+1972, section 2), a proper subgroup of GL2(F_r), r >= 5, that does not
+contain SL2 lies in the Borel (order r(r-1)^2), the normalizer of the split
+or of the nonsplit Cartan (2(r-1)^2, 2(r^2-1)), a preimage of A4 or S4 (at
+most 24(r-1)), or, when r = +-1 mod 5, of A5 (60(r-1)).  A closure larger
+than the largest of these, B(r), contains SL2, so it is {m : det m in D}
+with D the group the generators' determinants generate: GL2 when D is all
+of F_r^*, and otherwise read from the kernel's trace-det table with no
+search.  B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
+
+Candidates stay sorted kernel codes through the fingerprint and the
+conjugacy scan against their bucket; a MatrixGroup is built only for a
+class that is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
-from .matgroup import (IDENT, Mat, MatrixGroup, are_conjugate, gl2_order,
-                       _generating_subset, _kernel, _require_kernel_range)
+from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel,
+                       _require_kernel_range, _trace_det_fingerprint)
+from .modfield import element_order
+
+
+def _dickson_bound(r: int) -> int:
+    """B(r): every subgroup of GL2(F_r) of larger order contains SL2.
+
+    The largest order on Dickson's list of proper subgroups without SL2
+    (see the module docstring).  Below r = 5 that list does not apply, and
+    Lagrange's |GL2|/2 stands in: a larger subgroup is GL2 itself.
+    """
+    if r < 5:
+        return gl2_order(r) // 2
+    orders = [r * (r - 1) ** 2, 2 * (r - 1) ** 2, 2 * (r * r - 1), 24 * (r - 1)]
+    if r % 5 in (1, 4):
+        orders.append(60 * (r - 1))
+    return max(orders)
 
 
 def _closure_capped(gens, r: int, cap: int):
-    """Close the generators; None once the size passes cap (then it is GL2).
+    """Close the generators; None once the size passes cap.
 
     Returns the sorted kernel codes of the closure.
     """
@@ -33,11 +64,24 @@ def _closure_capped(gens, r: int, cap: int):
     return None if seen is None else k.members(seen)
 
 
-def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
-    r = group.r
+def _det_preimage(gens, r: int):
+    """Sorted codes of {m : det m in D}, D generated by the generators' determinants.
+
+    None when D is all of F_r^*.  D is cyclic of order n, the lcm of the
+    determinants' orders, so it is the set of units with x^n = 1.
+    """
+    n = lcm(*(element_order(mat_det(g, r), r) for g in gens))
+    if n == r - 1:
+        return None
     k = _kernel(r)
+    in_d = np.array([pow(x, n, r) == 1 for x in range(r)])  # det 0 stays out
+    return k.members(in_d[k.trace_det % r])
+
+
+def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
+    k = _kernel(group.r)
     norm = k.gl[k.conjugators([k.code(g) for g in group.generators], group._code_array())]
-    return _generating_subset(k.decode(norm), r)
+    return tuple(k.decode(k.generating_subset(norm)))
 
 
 def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
@@ -107,6 +151,8 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
     if r not in _LEVEL_CACHE:
         _LEVEL_CACHE[r] = [([MatrixGroup.close([], r)], False)]
     levels = _LEVEL_CACHE[r]
+    k = _kernel(r)
+    cap = _dickson_bound(r)
     while len(levels) <= max_generators:
         prev_classes, hit_full = levels[-1]
         older = levels[-2][0] if len(levels) >= 2 else []
@@ -114,18 +160,22 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         pool: dict = {}
         for g in prev_classes:
             pool.setdefault(g.fingerprint(), []).append(g)
-        cap = gl2_order(r) // 2  # by Lagrange, a larger closure is GL2
         for h_group in fresh:
             for x in _candidate_orbit_reps(h_group):
                 gens = h_group.generators + (x,)
                 codes = _closure_capped(gens, r, cap)
-                if codes is None:
-                    hit_full = True
-                    continue
-                cand = MatrixGroup._from_codes(r, codes, gens)
-                bucket = pool.setdefault(cand.fingerprint(), [])
-                if not any(are_conjugate(cand, known) for known in bucket):
-                    bucket.append(cand)
+                if codes is None:  # past B(r): the closure contains SL2
+                    codes = _det_preimage(gens, r)
+                    if codes is None:
+                        hit_full = True
+                        continue
+                bucket = pool.setdefault(_trace_det_fingerprint(k.trace_det[codes], r), [])
+                # equal fingerprints mean equal orders, so mapping the
+                # generators into a known class is a conjugacy witness
+                gen_codes = [k.code(g) for g in gens]
+                if not any(len(k.conjugators(gen_codes, known._code_array()))
+                           for known in bucket):
+                    bucket.append(MatrixGroup._from_codes(r, codes, gens))
         merged = sorted((g for bucket in pool.values() for g in bucket),
                         key=lambda g: (g.order, g.elements))
         levels.append((merged, hit_full))

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
-                              is_applicable, is_scalar, mat_det, mat_inv,
-                              mat_mul, mat_trace)
-from isogate.subgroup_enum import (_candidate_orbit_reps, _normalizer_generators,
+                              gl2_order, is_applicable, is_scalar, mat_det,
+                              mat_inv, mat_mul, mat_trace, sl2_order)
+from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
+                               octahedral_group_mod5, octahedral_group_mod13,
+                               split_cartan_normalizer)
+from isogate.subgroup_enum import (_candidate_orbit_reps, _closure_capped,
+                                   _dickson_bound, _normalizer_generators,
                                    class_counts, subgroup_classes)
 
 
@@ -157,3 +161,62 @@ def test_level_one_matches_cyclic_reference(r):
     classes = subgroup_classes(r, 1).classes
     assert [(g.elements, g.generators) for g in classes] == _reference_cyclic_classes(r)
     assert classes[0].generators == ()
+
+
+# ---- the Dickson early exit ----
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_dickson_bound_covers_the_maximal_subgroups(r):
+    orders = [borel(r).order, split_cartan_normalizer(r).order,
+              nonsplit_cartan_normalizer(r).order]
+    octahedral = {5: octahedral_group_mod5, 13: octahedral_group_mod13}.get(r)
+    if octahedral is not None:
+        orders.append(octahedral().order)
+    assert max(orders) <= _dickson_bound(r) < sl2_order(r)
+
+
+@pytest.mark.parametrize("r, k", ((5, 3), (7, 3), (11, 2)))
+def test_classes_past_the_bound_contain_sl2(r, k):
+    bound = _dickson_bound(r)
+    classes = subgroup_classes(r, k).classes
+    assert all(g.sl2_part().order == sl2_order(r) for g in classes if g.order > bound)
+    # the bound is attained, so no smaller cap would be sound
+    assert any(g.order == bound and g.sl2_part().order < sl2_order(r) for g in classes)
+
+
+def _lagrange_capped_levels(r, max_generators):
+    """The extension step without the early exit: closures capped at |GL2|/2,
+    each candidate a MatrixGroup deduplicated by are_conjugate."""
+    levels = [([MatrixGroup.close([], r)], False)]
+    while len(levels) <= max_generators:
+        prev_classes, hit_full = levels[-1]
+        older = levels[-2][0] if len(levels) >= 2 else []
+        pool = {}
+        for g in prev_classes:
+            pool.setdefault(g.fingerprint(), []).append(g)
+        for h_group in (g for g in prev_classes if g not in older):
+            for x in _candidate_orbit_reps(h_group):
+                gens = h_group.generators + (x,)
+                codes = _closure_capped(gens, r, gl2_order(r) // 2)
+                if codes is None:
+                    hit_full = True
+                    continue
+                cand = MatrixGroup._from_codes(r, codes, gens)
+                bucket = pool.setdefault(cand.fingerprint(), [])
+                if not any(are_conjugate(cand, known) for known in bucket):
+                    bucket.append(cand)
+        merged = sorted((g for bucket in pool.values() for g in bucket),
+                        key=lambda g: (g.order, g.elements))
+        levels.append((merged, hit_full))
+    return levels
+
+
+@pytest.mark.parametrize("r, k", ((5, 3), (7, 2)))
+def test_extension_step_matches_lagrange_capped_reference(r, k):
+    reference = _lagrange_capped_levels(r, k)
+    for level in range(1, k + 1):
+        inv = subgroup_classes(r, level)
+        classes, hit_full = reference[level]
+        assert inv.reaches_full_group == hit_full
+        assert [(g.order, g.elements, g.generators) for g in inv.classes] == \
+            [(g.order, g.elements, g.generators) for g in classes]
