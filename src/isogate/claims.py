@@ -36,6 +36,7 @@ from .matgroup import are_conjugate
 from .modcurve import (named_curve, named_curves, torsion_bound_cyclotomic,
                        two_division_shape)
 from .modfield import supported_moduli
+from .pointcount import SCAN_BOUND
 from .ratcurves import (
     CurveModel,
     curve_from_j,
@@ -108,8 +109,7 @@ class ClaimReport:
         }
 
 
-_SCAN_BOUND = 10 ** 6  # count_points refuses primes above it
-_SAMPLE_BOUND_RANGE = (3, _SCAN_BOUND)
+_SAMPLE_BOUND_RANGE = (3, SCAN_BOUND)
 
 
 def _bounded_int(name: str, value, lo: int, hi: int) -> None:
@@ -131,9 +131,9 @@ def _torsion_prime_lists(raw) -> dict:
             if (isinstance(q, bool) or not isinstance(q, int) or q == 2
                     or not is_probable_prime(q)):
                 raise ValueError(f"torsion_primes[{label!r}]: {q!r} is not an odd prime")
-            if q > _SCAN_BOUND:
+            if q > SCAN_BOUND:
                 raise ValueError(f"torsion_primes[{label!r}]: {q} is above the "
-                                 f"{_SCAN_BOUND} scan bound")
+                                 f"{SCAN_BOUND} scan bound")
         out[label] = tuple(qs)
     return out
 

@@ -25,7 +25,7 @@ from importlib import resources
 
 from .errors import BadReduction, NoValidPrimes
 from .modfield import validate_modulus
-from .pointcount import count_by_x_scan
+from .pointcount import SCAN_BOUND, count_by_x_scan
 from .ratcurves import (CubicFactorType, CurveModel, _cubic_shape, _factor_positive,
                         is_probable_prime, rational_roots_cubic)
 
@@ -265,8 +265,8 @@ def count_points(model: CurveModel, q: int) -> int:
     """#E(F_q) with the point at infinity, by exhaustive x-scan."""
     if not is_probable_prime(q) or q == 2:
         raise ValueError(f"need an odd prime, got {q}")
-    if q > 10 ** 6:
-        raise ValueError(f"prime {q} above the 10^6 scan bound")
+    if q > SCAN_BOUND:
+        raise ValueError(f"prime {q} above the {SCAN_BOUND} scan bound")
     if not model.is_integral():
         raise ValueError("integral model required")
     if int(model.discriminant()) % q == 0:
@@ -282,8 +282,8 @@ def good_split_primes(model: CurveModel, r: int, how_many: int) -> tuple[int, ..
     q = r + 1
     while len(primes) < how_many:
         q += r
-        if q > 10 ** 6:
-            raise NoValidPrimes(f"no usable primes = 1 mod {r} below 10^6")
+        if q > SCAN_BOUND:
+            raise NoValidPrimes(f"no usable primes = 1 mod {r} below {SCAN_BOUND}")
         if is_probable_prime(q) and disc % q != 0:
             primes.append(q)
     return tuple(primes)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .errors import (FactorizationIncomplete, InsufficientSamples,
                      PoleAtParameter, SingularCurve, Undecided, ZeroParameter)
 from .modfield import generates_units, validate_modulus, _square_set
-from .pointcount import count_by_x_scan, primes_upto
+from .pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
 
 Rational = Fraction | int
 
@@ -550,9 +550,13 @@ class SurjectivityReport:
 
 def frobenius_stream(curve: CurveModel, bound: int):
     """(q, a_q) at every odd prime q <= bound of good reduction, lazily, in
-    increasing q; a point count is made only when its pair is read."""
+    increasing q; a point count is made only when its pair is read.  A bound
+    above the point-count kernel's SCAN_BOUND is refused here, before any
+    pair is read, not when the stream reaches it."""
     if not curve.is_integral():
         raise ValueError("Frobenius sampling needs an integral model")
+    if bound > SCAN_BOUND:
+        raise ValueError(f"sample bound {bound} above the {SCAN_BOUND} scan bound")
     disc_num = abs(curve.discriminant().numerator)
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     return ((q, q + 1 - count_by_x_scan(b2 % q, b4 % q, b6 % q, q))

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogate.linaction import (acts_freely, fixed_lines, orbits,
                                projective_image, _apply, _line_key)
-from isogate.matgroup import MatrixGroup, random_gl2
+from isogate.matgroup import MatrixGroup, all_gl2, random_gl2
 from isogate.subgroup_enum import subgroup_classes
 from isogate.stdgroups import (borel, nonsplit_cartan,
                                nonsplit_cartan_cubes_extended,
@@ -71,6 +73,27 @@ def test_fixed_lines_equivariance_bullet():
             expected = sorted(_line_key(_apply(m, v, r), r)
                               for v in fixed_lines(g))
             assert sorted(fixed_lines(conj)) == expected
+
+
+@st.composite
+def _group_and_conjugator(draw):
+    r = draw(st.sampled_from((3, 5, 7)))
+    gl = all_gl2(r)
+    picks = st.integers(0, len(gl) - 1)
+    gens = [gl[i] for i in draw(st.lists(picks, min_size=1, max_size=2))]
+    return MatrixGroup.close(gens, r), gl[draw(picks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_and_conjugator())
+def test_group_predicates_are_conjugation_invariant(case):
+    g, m = case
+    conj = g.conjugate_by(m)
+    assert len(fixed_lines(conj)) == len(fixed_lines(g))
+    assert acts_freely(conj) == acts_freely(g)
+    assert conj.sl2_part().order == g.sl2_part().order
+    image, conj_image = projective_image(g), projective_image(conj)
+    assert (conj_image.order, conj_image.kind) == (image.order, image.kind)
 
 
 def test_cube_extended_mod5_fixed_lines():

@@ -1,8 +1,11 @@
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isogate.pointcount import count_by_x_scan, primes_upto
+from isogate.pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
 
 
 def _euler_count(b2, b4, b6, q):
@@ -53,3 +56,50 @@ def test_matches_square_table_kernel_at_a_large_prime():
     cases += [tuple(rng.randrange(-10 ** 30, 10 ** 30) for _ in range(3)) for _ in range(2)]
     for b2, b4, b6 in cases:
         assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q), (b2, b4, b6)
+
+
+def test_matches_square_table_kernel_at_block_edges():
+    # the scan walks x in blocks of 2^16: one partial block, one full block,
+    # a full block plus one element, and two blocks less one element
+    rng = random.Random(65536)
+    for q in (3, 5, 65_521, 65_537, 131_071):
+        cases = [(0, 0, 1), (1, 0, 0)]
+        cases += [tuple(rng.randrange(-10 ** 30, 10 ** 30) for _ in range(3)) for _ in range(3)]
+        for b2, b4, b6 in cases:
+            assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q), \
+                (b2, b4, b6, q)
+
+
+def test_largest_horner_value_stays_in_int64():
+    # b2, 2 b4 and b6 all = q - 1 mod q, so at x = q - 1 the unreduced Horner
+    # value 5(q-1)^3 + (q-1)^2 + (q-1) is the largest the scan can meet
+    q = 999_983
+    top = q - 1
+    assert (4 * top + top) * top * top + top * top + top < 2 ** 63
+    for b2, b4, b6 in ((top, top // 2, top), (-1, top // 2 - 10 ** 20 * q, top + 7 * q)):
+        assert (b2 % q, 2 * b4 % q, b6 % q) == (top, top, top)
+        assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q)
+
+
+def test_refuses_primes_above_the_scan_bound():
+    assert SCAN_BOUND == 10 ** 6
+    assert 5 * SCAN_BOUND ** 3 < 2 ** 63
+    with pytest.raises(ValueError, match="scan bound"):
+        count_by_x_scan(0, 0, 1, 1_000_003)
+
+
+_LARGE_PRIMES = [q for q in primes_upto(SCAN_BOUND) if q > 1 << 16]
+_COEFF = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_LARGE_PRIMES), _COEFF, _COEFF, _COEFF, st.integers(1, SCAN_BOUND))
+def test_quadratic_twist_counts_sum_to_2q_plus_2(q, b2, b4, b6, d):
+    # the twist by d has cubic d^3 v(x / d), so a nonsquare d flips every
+    # character and #E + #E^d = 2(q + 1); no Euler count is needed
+    least_nonsquare = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
+    d %= q
+    if d == 0 or pow(d, (q - 1) // 2, q) == 1:
+        d = (d or 1) * least_nonsquare % q
+    twisted = count_by_x_scan(d * b2, d * d * b4, d ** 3 * b6, q)
+    assert count_by_x_scan(b2, b4, b6, q) + twisted == 2 * q + 2

@@ -424,6 +424,23 @@ def test_stream_stops_once_every_modulus_is_certified(monkeypatch):
     assert counted == [q for q, _ in samples if q <= last]
 
 
+def test_sample_bound_above_the_scan_bound_is_refused_before_counting(monkeypatch):
+    import isogate.ratcurves as ratcurves
+    from isogate.pointcount import SCAN_BOUND
+    good = curve_from_j(parse_rational_expr("2^5*7^3"))
+    counted = []
+    monkeypatch.setattr(ratcurves, "count_by_x_scan", lambda *args: counted.append(args[3]))
+    too_far = SCAN_BOUND + 1
+    for refused in (lambda: ratcurves.frobenius_stream(good, too_far),
+                    lambda: frobenius_samples(good, too_far),
+                    lambda: surjectivity_certificate(good, 11, too_far),
+                    lambda: surjectivity_certificates(good, (11, 13), too_far)):
+        with pytest.raises(ValueError, match="scan bound"):
+            refused()
+    ratcurves.frobenius_stream(good, SCAN_BOUND)  # lazy: accepted, nothing counted
+    assert counted == []
+
+
 def test_certificate_with_samples_reads_them_all():
     good = curve_from_j(parse_rational_expr("2^5*7^3"))
     samples = frobenius_samples(good, 500)
