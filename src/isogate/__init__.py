@@ -29,6 +29,7 @@ from .gatefinder import find_gate_groups
 from .linaction import acts_freely, fixed_lines, orbits, projective_image
 from .matgroup import MatrixGroup, are_conjugate, is_applicable
 from .modcurve import (
+    image_bound,
     named_curve,
     named_curves,
     rational_torsion,
@@ -72,6 +73,7 @@ __all__ = [
     "fixed_lines",
     "full_two_torsion_over_cyclotomic",
     "g3_family_j",
+    "image_bound",
     "is_applicable",
     "is_square_in_cyclotomic",
     "named_curve",

@@ -32,20 +32,20 @@ from .errors import (
 )
 from .gatefinder import find_gate_groups
 from .linaction import acts_freely, fixed_lines, orbits, projective_image
-from .matgroup import are_conjugate
-from .modcurve import (named_curve, named_curves, torsion_bound_cyclotomic,
-                       two_division_shape)
+from .matgroup import are_conjugate, mat_det, mat_trace
+from .modcurve import (image_bound, named_curve, named_curves,
+                       torsion_bound_cyclotomic, two_division_shape)
 from .modfield import supported_moduli
 from .pointcount import SCAN_BOUND
 from .ratcurves import (
     CurveModel,
+    certificate_criteria,
     curve_from_j,
     disc_square_class_of_j,
     family_membership,
     g3_family_j,
     is_probable_prime,
     parse_rational_expr,
-    surjectivity_certificate,
     surjectivity_certificates,
     two_division_cubic,
     two_torsion_family_j,
@@ -396,13 +396,28 @@ def _claim_surjectivity(config: Config, moduli) -> tuple[dict, dict]:
         computed["family"][j_expr] = {
             str(r): report.status for r, report in reports.items()
         }
-    computed["negative"]["X0(11)@5"] = surjectivity_certificate(
-        named_curve("X0(11)").model, 5, config.sample_bound
-    ).status
-    computed["negative"]["2^6*3^3@7"] = surjectivity_certificate(
-        CurveModel(0, 0, 0, 1, 0), 7, config.sample_bound
-    ).status
+    computed["negative"]["X0(11)@5"] = _bounded_verdict(named_curve("X0(11)").model, 5)
+    computed["negative"]["2^6*3^3@7"] = _bounded_verdict(CurveModel(0, 0, 0, 1, 0), 7)
     return expected, computed
+
+
+def _bounded_verdict(model: CurveModel, r: int) -> str | None:
+    """The certificate verdict every sample bound gives, read from the
+    maximal subgroup that holds the mod-r image.
+
+    Every Frobenius (trace, det) pair lies in that subgroup's set, and every
+    criterion is upward-closed, so a criterion that fails on the whole set
+    fails on every sample: "inconclusive".  Otherwise the group's kind (all
+    four criteria hold, which soundness rules out) or None (no bound known)
+    is returned as found, and differs from the frozen verdict.
+    """
+    kind = image_bound(model, r)
+    if kind is None:
+        return None
+    pairs = {(mat_trace(m, r), mat_det(m, r)) for m in standard_group(kind, r)}
+    if all(ok for _, ok in certificate_criteria(pairs, r)):
+        return kind
+    return "inconclusive"
 
 
 def _torsion_claim(label: str, r: int, gcd_bound: int, structure_bound: int,

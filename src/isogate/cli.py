@@ -36,6 +36,11 @@ def _load_config(args) -> Config:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and (args.claim or args.r):
+        given = "--claim" if args.claim else "--r"
+        print(f"verify --all takes no {given}: it runs every claim at its "
+              f"default moduli", file=sys.stderr)
+        return 2
     config = _load_config(args)
     if args.all:
         reports = run_all(args.json, config=config)

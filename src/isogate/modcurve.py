@@ -13,6 +13,10 @@ E(Q)_tors, found exactly by Nagell-Lutz, is a subgroup of the torsion over
 Q(zeta_r) and so a lower bound, which need not meet either upper bound.
 Nothing here touches ranks, so every report states that the bound is
 one-sided.
+
+The same exact data also bound the mod-r image from above: a rational point
+of order r or CM by an order in which r is unramified names a maximal
+subgroup of GL2(F_r) that holds the image (image_bound).
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .cyclo import cm_field_discriminant
 from .errors import BadReduction, NoValidPrimes
-from .modfield import validate_modulus
+from .modfield import is_square, validate_modulus
 from .pointcount import SCAN_BOUND, count_by_x_scan
 from .ratcurves import (CubicFactorType, CurveModel, _cubic_shape, _factor_positive,
                         is_probable_prime, rational_roots_cubic)
@@ -259,6 +264,30 @@ def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
                 found.append(back)
     found.sort()
     return tuple(found)
+
+
+def image_bound(model: CurveModel, r: int) -> str | None:
+    """The stdgroups kind of a maximal subgroup of GL2(F_r) that provably
+    holds the mod-r image of E, or None when neither rule below applies.
+
+    CM by an order of discriminant D with r >= 5 not dividing D puts the
+    image in the normalizer of the Cartan subgroup (O/rO)^*, split or
+    nonsplit as the Kronecker symbol (D/r) is +1 or -1 (Serre 1972, sections
+    4-5; Zywina, arXiv:1508.07660, section 1.9).  A rational point of order r
+    is fixed by Galois, so the image lies in the Borel.  Such a point exists
+    only for r <= 7 (Mazur), and never for r >= 5 on a CM curve (Olson
+    1974), so rational_torsion is consulted only where it can answer.  The
+    model must be integral.
+    """
+    validate_modulus(r)
+    d = cm_field_discriminant(model.j_invariant())
+    if d is not None and r >= 5:
+        if d % r == 0:
+            return None
+        return "split_cartan_normalizer" if is_square(d, r) else "nonsplit_cartan_normalizer"
+    if r <= 7 and any(point_order(model, pt) == r for pt in rational_torsion(model)):
+        return "borel"
+    return None
 
 
 def count_points(model: CurveModel, q: int) -> int:

@@ -24,7 +24,8 @@ search.  B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
 
 Candidates stay sorted kernel codes through the fingerprint and the
 conjugacy scan against their bucket; a MatrixGroup is built only for a
-class that is kept.
+class that is kept.  A candidate past B(r) skips the scan: it is a
+duplicate exactly when a class of its order is already known.
 """
 
 from __future__ import annotations
@@ -164,12 +165,19 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
             for x in _candidate_orbit_reps(h_group):
                 gens = h_group.generators + (x,)
                 codes = _closure_capped(gens, r, cap)
-                if codes is None:  # past B(r): the closure contains SL2
+                past_bound = codes is None
+                if past_bound:  # past B(r): the closure contains SL2
                     codes = _det_preimage(gens, r)
                     if codes is None:
                         hit_full = True
                         continue
                 bucket = pool.setdefault(_trace_det_fingerprint(k.trace_det[codes], r), [])
+                # a known class of the same order is above B(r) too, so it
+                # contains SL2 and is the preimage of its determinants; F_r^*
+                # is cyclic, so equal orders give the same determinant group
+                # and the same (normal) subgroup: no conjugacy scan needed
+                if past_bound and bucket:
+                    continue
                 # equal fingerprints mean equal orders, so mapping the
                 # generators into a known class is a conjugacy witness
                 gen_codes = [k.code(g) for g in gens]

@@ -6,11 +6,13 @@ import pytest
 
 from isogate.claims import (CLAIM_IDS, CRITERION_CLAIMS, FAMILY_J, FAMILY_T,
                             NO_TWO_TORSION_J, ClaimReport, Config,
-                            _exact_torsion_order, claim_description, run_all,
+                            _bounded_verdict, _exact_torsion_order,
+                            claim_description, run_all,
                             run_claim, write_reports)
 from isogate.errors import UnknownClaim
 from isogate.modcurve import named_curve, two_division_shape
-from isogate.ratcurves import CubicFactorType, parse_rational_expr
+from isogate.ratcurves import (CubicFactorType, CurveModel, curve_from_j,
+                               parse_rational_expr, surjectivity_certificates)
 
 
 def test_claim_ids():
@@ -189,6 +191,46 @@ def test_exact_torsion_order_needs_matching_bounds():
     assert _exact_torsion_order(split, 8, 8, 7) == 8
     irreducible = two_division_shape(named_curve("X0(11)"))
     assert _exact_torsion_order(irreducible, 5, 5, 11) == 5
+
+
+def test_surjectivity_negatives_make_no_point_counts(monkeypatch):
+    # the pinned negatives are read from image_bound: every scan the claim
+    # makes is one the family certificates make on their own
+    import isogate.ratcurves as ratcurves
+
+    counted = []
+    real = ratcurves.count_by_x_scan
+
+    def counting(b2, b4, b6, q):
+        counted.append(q)
+        return real(b2, b4, b6, q)
+
+    monkeypatch.setattr(ratcurves, "count_by_x_scan", counting)
+    assert run_claim("surjectivity").status == "pass"
+    in_claim, counted[:] = list(counted), []
+    for j_expr in FAMILY_J:
+        surjectivity_certificates(curve_from_j(parse_rational_expr(j_expr)),
+                                  (11, 13, 17, 19))
+    assert in_claim == counted
+
+
+def test_bounded_verdict_reports_what_it_cannot_settle(monkeypatch):
+    from isogate import claims
+    from isogate.matgroup import MatrixGroup
+
+    cm = CurveModel.short(1, 0)
+    assert _bounded_verdict(cm, 7) == "inconclusive"
+    assert _bounded_verdict(named_curve("X0(11)").model, 5) == "inconclusive"
+    # no bound: nothing decides the verdict, and the claim fails visibly
+    monkeypatch.setattr(claims, "image_bound", lambda model, r: None)
+    assert _bounded_verdict(cm, 7) is None
+    rep = run_claim("surjectivity", moduli=(11,))
+    assert rep.status == "fail"
+    assert rep.computed["negative"] == {"X0(11)@5": None, "2^6*3^3@7": None}
+    # a "bound" on which all four criteria hold is reported by its kind
+    monkeypatch.setattr(claims, "image_bound", lambda model, r: "borel")
+    monkeypatch.setattr(claims, "standard_group", lambda kind, r: MatrixGroup.full(r))
+    assert _bounded_verdict(cm, 7) == "borel"
 
 
 def test_write_reports(tmp_path):

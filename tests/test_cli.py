@@ -17,6 +17,24 @@ def test_verify_needs_target(capsys):
     assert "--claim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--all", "--r", "5"],
+    ["--claim", "x011", "--all"],
+    ["--all", "--claim", "surjectivity", "--r", "11"],
+])
+def test_verify_all_rejects_claim_and_moduli(capsys, monkeypatch, argv):
+    # --all names every claim at its default moduli, so --claim and --r are
+    # usage errors, reported before any claim runs
+    from isogate import cli
+
+    monkeypatch.setattr(cli, "run_all", lambda *a, **kw: pytest.fail("ran the registry"))
+    monkeypatch.setattr(cli, "run_claim", lambda *a, **kw: pytest.fail("ran a claim"))
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "verify --all takes no" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_unknown_claim():
     # argparse enforces the registry through choices
     with pytest.raises(SystemExit) as exc:

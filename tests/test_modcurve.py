@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isogate import modcurve
-from isogate.errors import BadReduction, NoValidPrimes, SingularCurve
+from isogate.cyclo import cm_table
+from isogate.errors import (BadReduction, CompositeModulus, NoValidPrimes,
+                            SingularCurve)
 from isogate.modcurve import (RANK_CAVEAT, NamedCurve, add_points,
                               add_points_mod, count_points, good_split_primes,
-                              multiply_mod, named_curve, named_curves, negate,
+                              image_bound, multiply_mod, named_curve,
+                              named_curves, negate,
                               on_curve, point_order, primary_structure,
                               rational_torsion, torsion_bound_cyclotomic,
                               two_division_shape)
 from isogate.pointcount import primes_upto
-from isogate.ratcurves import CurveModel
+from isogate.ratcurves import CurveModel, curve_from_j, parse_rational_expr
 
 X011 = named_curve("X0(11)")
 X014 = named_curve("X0(14)")
@@ -388,3 +391,59 @@ def test_two_division_shape():
     assert s.disc_class == -11
     adhoc = NamedCurve("split", CurveModel(0, 0, 0, -1, 0), 2)
     assert two_division_shape(adhoc).shape == "three_rational_roots"
+
+
+_BOUND_MODULI = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_image_bound_cm_kind_follows_the_kronecker_symbol():
+    for rec in cm_table():
+        model = curve_from_j(rec.j)
+        d = rec.field_discriminant
+        for r in _BOUND_MODULI:
+            kind = image_bound(model, r)
+            if d % r == 0:
+                assert kind is None, (rec.j_expr, r)  # r ramified: no CM bound
+            elif pow(d, (r - 1) // 2, r) == 1:  # Euler's criterion: r splits
+                assert kind == "split_cartan_normalizer", (rec.j_expr, r)
+            else:
+                assert kind == "nonsplit_cartan_normalizer", (rec.j_expr, r)
+
+
+def test_image_bound_cm_shortcut_agrees_with_exact_torsion():
+    # the CM rule never reads the torsion: where Nagell-Lutz is cheap,
+    # confirm no CM curve has a rational point of order 5 or 7
+    cheap = ("0", "2^6*3^3", "-3^3*5^3", "2^6*5^3", "-2^15", "-2^15*3^3")
+    models = [curve_from_j(parse_rational_expr(j)) for j in cheap]
+    models += [CurveModel(0, 0, 0, 0, 1), CurveModel(0, 0, 0, -1, 0)]
+    for model in models:
+        orders = {point_order(model, pt) for pt in rational_torsion(model)}
+        assert not orders & {5, 7}, (model, orders)
+
+
+def test_image_bound_from_rational_torsion():
+    x011 = X011.model
+    assert image_bound(x011, 5) == "borel"
+    assert image_bound(x011, 7) is None
+    assert image_bound(x011, 11) is None
+    for n, b, c in TATE_CASES:
+        if n in (5, 7):
+            assert image_bound(_tate_normal_form(b, c), n) == "borel", (n, b, c)
+    # order 3 torsion on X0(14), and on the CM curve y^2 = x^3 + 1, where
+    # the CM rule does not apply below r = 5
+    assert image_bound(X014.model, 3) == "borel"
+    assert image_bound(CurveModel(0, 0, 0, 0, 1), 3) == "borel"
+    assert image_bound(X020.model, 5) is None
+    with pytest.raises(CompositeModulus):
+        image_bound(x011, 9)
+
+
+def test_image_bound_is_none_where_family_curves_are_certified():
+    # the family curves are certified surjective at these moduli, so any
+    # bound would contradict the certificates
+    from isogate.claims import FAMILY_J
+
+    for j_expr in FAMILY_J:
+        model = curve_from_j(parse_rational_expr(j_expr))
+        for r in (11, 13, 17, 19):
+            assert image_bound(model, r) is None, (j_expr, r)

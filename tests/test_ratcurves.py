@@ -18,7 +18,8 @@ from isogate.ratcurves import (CurveModel, _cubic_shape, _factor_positive,
                                surjectivity_certificate,
                                surjectivity_certificates, two_division_cubic,
                                two_torsion_family_j, has_rational_two_torsion)
-from isogate.stdgroups import octahedral_group_mod5
+from isogate.modcurve import image_bound, named_curve
+from isogate.stdgroups import octahedral_group_mod5, standard_group
 from isogate.subgroup_enum import subgroup_classes
 
 
@@ -464,6 +465,22 @@ def test_certificate_input_checks():
 def _group_pairs(group):
     r = group.r
     return [(mat_trace(m, r), mat_det(m, r)) for m in group.elements]
+
+
+@pytest.mark.parametrize("model, r, wrong", [
+    (named_curve("X0(11)").model, 5, "nonsplit_cartan_normalizer"),
+    (CurveModel.short(1, 0), 7, "split_cartan_normalizer"),
+], ids=["X0(11)@5", "j=1728@7"])
+def test_pinned_negatives_stay_inside_their_image_bound(model, r, wrong):
+    # the surjectivity claim decides these two from image_bound alone; the
+    # full scan to 10^4 is the oracle that the bounding group is right
+    samples = frobenius_samples(model, 10 ** 4)
+    report = surjectivity_certificate(model, r, 10 ** 4, samples=samples)
+    assert report.status == "inconclusive"
+    frobenius = {(a_q % r, q % r) for q, a_q in samples if q != r}
+    assert frobenius <= set(_group_pairs(standard_group(image_bound(model, r), r)))
+    # the check has teeth: the same pairs escape a wrong maximal subgroup
+    assert not frobenius <= set(_group_pairs(standard_group(wrong, r)))
 
 
 def test_certificate_soundness_bullet():
