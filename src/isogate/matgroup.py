@@ -265,12 +265,14 @@ class _Kernel:
 
     # group algorithms
 
-    def closure(self, gen_codes, cap=None, seen=None):
+    def closure(self, gen_codes, cap=None, seen=None, stop=None):
         """Mask of the subgroup generated by gen_codes; None once its size passes cap.
 
         Breadth-first search by right multiplication, one frontier at a
         time.  With seen given, the search starts from every code in it
-        (and updates it in place).
+        (and updates it in place).  With stop = (table, goal), a uint8
+        table over codes and a bit mask, the search returns False as soon
+        as the table's bits over the new codes have covered goal.
         """
         maps = [self.right_map(g) for g in gen_codes]
         if seen is None:
@@ -278,6 +280,8 @@ class _Kernel:
             seen[self.ident] = True
         if not maps:
             return seen
+        if stop is not None:
+            table, goal = stop
         frontier = np.flatnonzero(seen)
         size = len(frontier)
         while len(frontier):
@@ -290,6 +294,10 @@ class _Kernel:
             order = np.arange(len(step), dtype=np.int32)
             self._slot[step] = order
             frontier = step[self._slot[step] == order]
+            if stop is not None:
+                goal &= ~int(np.bitwise_or.reduce(table[frontier]))
+                if not goal:
+                    return False
             size += len(frontier)
             if cap is not None and size > cap:
                 return None

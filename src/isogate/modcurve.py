@@ -231,6 +231,30 @@ def primary_structure(model: CurveModel, q: int, ell: int,
     raise AssertionError(f"points mod {q} did not generate the {ell}-part")
 
 
+# odd primes of good reduction whose counts bound the torsion order; the
+# curves of claims.FAMILY_J and the CM j 3^3*5^3*17^3, -2^18*3^3*5^3 and
+# -2^15*3^3*5^3*11^3 reach a gcd of at most 2 within five (2*3^3*43^3 needs
+# all five), and a curve that does not falls back to the full path
+_TORSION_PRIMES = 5
+
+
+def _torsion_order_gcd(model: CurveModel) -> int:
+    """gcd of #E(F_q) over the first _TORSION_PRIMES odd primes q not
+    dividing the discriminant, stopping once it is at most 2.
+
+    E(Q)_tors injects into E(F_q) at every odd prime of good reduction
+    (Silverman AEC VII.3.1), so its order divides the result.
+    """
+    disc = int(model.discriminant())
+    b2, b4, b6 = int(model.b2), int(model.b4), int(model.b6)
+    g, used, q = 0, 0, 1
+    while used < _TORSION_PRIMES and g not in (1, 2):
+        q += 2
+        if disc % q and is_probable_prime(q):
+            g, used = math.gcd(g, count_by_x_scan(b2, b4, b6, q)), used + 1
+    return g
+
+
 @lru_cache(maxsize=8)
 def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
     """The affine points of E(Q)_tors, exactly, in sorted order.
@@ -238,20 +262,32 @@ def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
     On the integral short model Y^2 = X^3 + AX + B with A = -27 c4,
     B = -54 c6, reached by X = 36x + 3 b2 and Y = 108(2y + a1 x + a3), a
     torsion point has integer coordinates and Y = 0 or Y^2 | 4A^3 + 27B^2
-    = -2^8 3^12 Delta (Nagell-Lutz, Silverman AEC VIII.7).  Each candidate
-    Y gives the integer roots X of X^3 + AX + B - Y^2; a candidate is kept
-    when the group law reaches infinity within _POINT_CAP steps, which
-    Mazur's bound (orders at most 12) makes exact.
+    = -2^8 3^12 Delta (Nagell-Lutz, Silverman AEC VIII.7).  When the
+    counts of _torsion_order_gcd leave an order of at most 2, every torsion
+    point has Y = 0, and only that cubic is solved: Delta is not factored.
     """
     if not model.is_integral():
         raise ValueError("integral model required")
+    return _nagell_lutz(model, two_torsion_only=_torsion_order_gcd(model) <= 2)
+
+
+def _nagell_lutz(model: CurveModel, two_torsion_only: bool) -> tuple[Point, ...]:
+    """Torsion points of an integral model, from the candidate Y above.
+
+    Each candidate Y gives the integer roots X of X^3 + AX + B - Y^2; a
+    candidate is kept when the group law reaches infinity within
+    _POINT_CAP steps, which Mazur's bound (orders at most 12) makes exact.
+    With two_torsion_only, Y = 0 is the only candidate.
+    """
     b2, b4, b6 = model.b2, model.b4, model.b6
     c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
     short = CurveModel.short(-27 * c4, -54 * c6)
-    disc = abs(int(model.discriminant())) * 2 ** 8 * 3 ** 12
-    ys = [1]
-    for p, e in _factor_positive(disc).items():
-        ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
+    ys = []
+    if not two_torsion_only:
+        ys = [1]
+        disc = abs(int(model.discriminant())) * 2 ** 8 * 3 ** 12
+        for p, e in _factor_positive(disc).items():
+            ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
     found = []
     for y_short in [0] + ys:
         for x_short in rational_roots_cubic(1, 0, short.a4, short.a6 - y_short * y_short):

@@ -12,30 +12,38 @@ x -> x^-1, x -> xh (h in the subgroup) and conjugation by the subgroup's
 normalizer; x -> hx is (x^-1 h^-1)^-1, so it adds nothing.  One closure
 per orbit of those moves suffices.
 
-Each closure stops at Dickson's bound.  By Dickson's classification (Serre
-1972, section 2), a proper subgroup of GL2(F_r), r >= 5, that does not
-contain SL2 lies in the Borel (order r(r-1)^2), the normalizer of the split
-or of the nonsplit Cartan (2(r-1)^2, 2(r^2-1)), a preimage of A4 or S4 (at
-most 24(r-1)), or, when r = +-1 mod 5, of A5 (60(r-1)).  A closure larger
-than the largest of these, B(r), contains SL2, so it is {m : det m in D}
-with D the group the generators' determinants generate: GL2 when D is all
-of F_r^*, and otherwise read from the kernel's trace-det table with no
-search.  B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
+Each closure stops as soon as it is known to contain SL2.  By Dickson's
+classification (Serre 1972, section 2), a proper subgroup of GL2(F_r),
+r >= 5, that does not contain SL2 lies in the Borel (order r(r-1)^2), the
+normalizer of the split or of the nonsplit Cartan (2(r-1)^2, 2(r^2-1)), a
+preimage of A4 or S4 (at most 24(r-1)), or, when r = +-1 mod 5, of A5
+(60(r-1)).  Serre's Prop. 19 reads membership off three elements, one
+leaving each kind (_serre_tables); they are looked for among the
+generators and their pairwise products, then on each frontier of the
+closure.  Where they do not all turn up (SL2(F_5) has none of the third
+kind), the closure stops once it is larger than the largest group on the
+list, B(r).  A closure that contains SL2 is {m : det m in D} with D the
+group the generators' determinants generate: GL2 when D is all of F_r^*,
+and otherwise read from the kernel's trace-det table with no search,
+once per (r, |D|).  B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
 
 Candidates stay sorted kernel codes through the fingerprint and the
 conjugacy scan against their bucket; a MatrixGroup is built only for a
-class that is kept.  A candidate past B(r) skips the scan: it is a
-duplicate exactly when a class of its order is already known.
+class that is kept.  A candidate that contains SL2 skips the scan: it is
+a duplicate exactly when a class of its order is already known.  So does
+a closure whose codes equal a known class's or an earlier candidate's at
+the same level.  ClassInventory.funnel counts where the candidates went.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
-from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel,
+from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, mat_mul, _kernel,
                        _require_kernel_range, _trace_det_fingerprint)
 from .modfield import element_order
 
@@ -55,28 +63,92 @@ def _dickson_bound(r: int) -> int:
     return max(orders)
 
 
+# bits of Serre's three elements (1972, Prop. 19), set per (trace, det)
+_SPLIT, _NONSPLIT, _LARGE_ORDER = 1, 2, 4
+_ALL_THREE = _SPLIT | _NONSPLIT | _LARGE_ORDER
+
+
+@lru_cache(maxsize=None)
+def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
+    """Serre's bits by trace-det key (tr * r + det), and the same per kernel code.
+
+    A matrix sets _SPLIT when tr != 0 and tr^2 - 4 det is a nonzero square,
+    _NONSPLIT when tr != 0 and tr^2 - 4 det is a nonsquare, and _LARGE_ORDER
+    when u = tr^2 / det is outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0, so
+    its image in PGL2 has order neither 1, 2, 3, 4, 5 nor r.  For r >= 5 a
+    subgroup holding all three contains SL2: the Borel and the normalizer
+    of the split Cartan have no _NONSPLIT element, the normalizer of the
+    nonsplit Cartan no _SPLIT one (off the Cartan the trace is 0), and the
+    A4, S4 and A5 preimages no _LARGE_ORDER one.
+    """
+    squares = {x * x % r for x in range(1, r)}
+    by_key = bytearray(r * r)  # det 0 keeps no bits
+    for t in range(r):
+        for d in range(1, r):
+            disc = (t * t - 4 * d) % r
+            u = t * t * pow(d, -1, r) % r
+            bits = 0
+            if t and disc:
+                bits |= _SPLIT if disc in squares else _NONSPLIT
+            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r:
+                bits |= _LARGE_ORDER
+            by_key[t * r + d] = bits
+    by_code = np.frombuffer(bytes(by_key), dtype=np.uint8)[_kernel(r).trace_det]
+    by_code.flags.writeable = False
+    return bytes(by_key), by_code
+
+
+def _word_bits(gens, r: int, by_key: bytes) -> int:
+    """Serre's bits over the generators and their pairwise products."""
+    words = list(gens)
+    words += [mat_mul(g, h, r) for i, g in enumerate(gens) for h in gens[i + 1:]]
+    bits = 0
+    for a, b, c, d in words:
+        bits |= by_key[(a + d) % r * r + (a * d - b * c) % r]
+    return bits
+
+
 def _closure_capped(gens, r: int, cap: int):
     """Close the generators; None once the size passes cap.
 
-    Returns the sorted kernel codes of the closure.
+    Returns the sorted kernel codes of the closure, or, for r >= 5, False
+    as soon as Serre's three elements turn up, first among the generators
+    and their pairwise products, then on each frontier of the search: the
+    closure contains SL2.
     """
     k = _kernel(r)
-    seen = k.closure([k.code(g) for g in gens], cap)
-    return None if seen is None else k.members(seen)
+    stop = None
+    if r >= 5:
+        by_key, by_code = _serre_tables(r)
+        goal = _ALL_THREE & ~_word_bits(gens, r, by_key)
+        if not goal:
+            return False
+        stop = (by_code, goal)
+    seen = k.closure([k.code(g) for g in gens], cap, stop=stop)
+    if seen is None or seen is False:
+        return seen
+    return k.members(seen)
+
+
+@lru_cache(maxsize=None)
+def _det_group_preimage(r: int, n: int):
+    """Sorted codes of {m : det m^n = 1} and their fingerprint; read-only."""
+    k = _kernel(r)
+    in_d = np.array([pow(x, n, r) == 1 for x in range(r)])  # det 0 stays out
+    codes = k.members(in_d[k.trace_det % r])
+    codes.flags.writeable = False
+    return codes, _trace_det_fingerprint(k.trace_det[codes], r)
 
 
 def _det_preimage(gens, r: int):
-    """Sorted codes of {m : det m in D}, D generated by the generators' determinants.
+    """{m : det m in D}, D generated by the generators' determinants.
 
-    None when D is all of F_r^*.  D is cyclic of order n, the lcm of the
-    determinants' orders, so it is the set of units with x^n = 1.
+    Its sorted codes and fingerprint, cached per (r, |D|); None when D is
+    all of F_r^*.  D is cyclic of order n, the lcm of the determinants'
+    orders, so it is the set of units with x^n = 1.
     """
     n = lcm(*(element_order(mat_det(g, r), r) for g in gens))
-    if n == r - 1:
-        return None
-    k = _kernel(r)
-    in_d = np.array([pow(x, n, r) == 1 for x in range(r)])  # det 0 stays out
-    return k.members(in_d[k.trace_det % r])
+    return None if n == r - 1 else _det_group_preimage(r, n)
 
 
 def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
@@ -125,13 +197,29 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     return k.decode(gl[np.unique(label[outside])])
 
 
+# where each candidate of a level was settled, in funnel order
+FUNNEL_STEPS = ("candidates", "sl2_by_words", "sl2_by_cap", "full_group",
+                "exact_repeats", "conjugate_of_known", "new_class")
+
+
 @dataclass(frozen=True)
 class ClassInventory:
-    """Subgroup conjugacy classes reachable with at most max_generators."""
+    """Subgroup conjugacy classes reachable with at most max_generators.
+
+    funnel counts the candidates of the top level (one closure each) by
+    the step that settled them: it reached GL2 ('full_group'); it contains
+    SL2, a class of its order is known, and SL2 was seen from Serre's
+    three elements ('sl2_by_words') or from its size passing B(r)
+    ('sl2_by_cap'); it repeats a closure already handled at this level
+    ('exact_repeats'); a conjugacy scan matched it to a known class
+    ('conjugate_of_known'); or it was kept ('new_class').  The six counts
+    after 'candidates' sum to it.
+    """
     r: int
     max_generators: int
     classes: tuple[MatrixGroup, ...]
     reaches_full_group: bool
+    funnel: dict = field(default_factory=dict, compare=False)
 
     @property
     def count(self) -> int:
@@ -150,45 +238,63 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
     if max_generators < 1:
         raise ValueError("need at least one generator")
     if r not in _LEVEL_CACHE:
-        _LEVEL_CACHE[r] = [([MatrixGroup.close([], r)], False)]
+        _LEVEL_CACHE[r] = [([MatrixGroup.close([], r)], False, {})]
     levels = _LEVEL_CACHE[r]
     k = _kernel(r)
     cap = _dickson_bound(r)
     while len(levels) <= max_generators:
-        prev_classes, hit_full = levels[-1]
+        prev_classes, hit_full, _ = levels[-1]
         older = levels[-2][0] if len(levels) >= 2 else []
         fresh = [g for g in prev_classes if g not in older]
         pool: dict = {}
         for g in prev_classes:
             pool.setdefault(g.fingerprint(), []).append(g)
+        # codes of the closures already settled: the known classes, then
+        # every closure under B(r) met at this level
+        handled = {g._code_array().tobytes() for g in prev_classes}
+        funnel = dict.fromkeys(FUNNEL_STEPS, 0)
         for h_group in fresh:
             for x in _candidate_orbit_reps(h_group):
+                funnel["candidates"] += 1
                 gens = h_group.generators + (x,)
                 codes = _closure_capped(gens, r, cap)
-                past_bound = codes is None
-                if past_bound:  # past B(r): the closure contains SL2
-                    codes = _det_preimage(gens, r)
-                    if codes is None:
+                if codes is None or codes is False:  # the closure contains SL2
+                    route = "sl2_by_cap" if codes is None else "sl2_by_words"
+                    preimage = _det_preimage(gens, r)
+                    if preimage is None:
                         hit_full = True
+                        funnel["full_group"] += 1
                         continue
-                bucket = pool.setdefault(_trace_det_fingerprint(k.trace_det[codes], r), [])
-                # a known class of the same order is above B(r) too, so it
-                # contains SL2 and is the preimage of its determinants; F_r^*
-                # is cyclic, so equal orders give the same determinant group
-                # and the same (normal) subgroup: no conjugacy scan needed
-                if past_bound and bucket:
-                    continue
-                # equal fingerprints mean equal orders, so mapping the
-                # generators into a known class is a conjugacy witness
-                gen_codes = [k.code(g) for g in gens]
-                if not any(len(k.conjugators(gen_codes, known._code_array()))
-                           for known in bucket):
+                    codes, fingerprint = preimage
+                    bucket = pool.setdefault(fingerprint, [])
+                    # a known class of the same order is above B(r) too, so it
+                    # contains SL2 and is the preimage of its determinants;
+                    # F_r^* is cyclic, so equal orders give the same
+                    # determinant group and the same (normal) subgroup
+                    step = route if bucket else "new_class"
+                else:
+                    # the first copy of these codes is a known class, or was
+                    # kept or matched at this level: either way a duplicate
+                    key = codes.tobytes()
+                    if key in handled:
+                        funnel["exact_repeats"] += 1
+                        continue
+                    handled.add(key)
+                    bucket = pool.setdefault(_trace_det_fingerprint(k.trace_det[codes], r), [])
+                    # equal fingerprints mean equal orders, so mapping the
+                    # generators into a known class is a conjugacy witness
+                    gen_codes = [k.code(g) for g in gens]
+                    matched = any(len(k.conjugators(gen_codes, known._code_array()))
+                                  for known in bucket)
+                    step = "conjugate_of_known" if matched else "new_class"
+                funnel[step] += 1
+                if step == "new_class":
                     bucket.append(MatrixGroup._from_codes(r, codes, gens))
         merged = sorted((g for bucket in pool.values() for g in bucket),
                         key=lambda g: (g.order, g.elements))
-        levels.append((merged, hit_full))
-    classes, hit_full = levels[max_generators]
-    return ClassInventory(r, max_generators, tuple(classes), hit_full)
+        levels.append((merged, hit_full, funnel))
+    classes, hit_full, funnel = levels[max_generators]
+    return ClassInventory(r, max_generators, tuple(classes), hit_full, dict(funnel))
 
 
 def class_counts(r: int, up_to: int) -> list[int]:

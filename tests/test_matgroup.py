@@ -262,19 +262,19 @@ def _generator_sets(draw, max_gens=3):
 @settings(max_examples=60, deadline=None)
 @given(_generator_sets(), st.integers(1, 2100))
 def test_kernel_closure_matches_reference(case, cap):
-    from isogate.subgroup_enum import _closure_capped
     r, gens = case
     reference = _reference_closure(gens, r)
     group = MatrixGroup.close(gens, r)
     assert group.elements == tuple(sorted(reference))
     assert group.generators == tuple(gens)
+    k = _kernel(r)
     for limit in (cap, len(reference), len(reference) - 1):
-        capped = _closure_capped(gens, r, limit)
+        capped = k.closure([k.code(g) for g in gens], limit)
         expected = _reference_closure(gens, r, limit)
         if expected is None:
             assert capped is None
         else:
-            assert _kernel(r).decode(capped) == sorted(expected)
+            assert k.decode(k.members(capped)) == sorted(expected)
     assert _generating_subset(group.elements, r) == \
         _reference_generating_subset(group.elements, r)
 

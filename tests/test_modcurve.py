@@ -16,7 +16,8 @@ from isogate.modcurve import (RANK_CAVEAT, NamedCurve, add_points,
                               rational_torsion, torsion_bound_cyclotomic,
                               two_division_shape)
 from isogate.pointcount import primes_upto
-from isogate.ratcurves import CurveModel, curve_from_j, parse_rational_expr
+from isogate.ratcurves import (CurveModel, curve_from_j, parse_rational_expr,
+                               rational_roots_cubic)
 
 X011 = named_curve("X0(11)")
 X014 = named_curve("X0(14)")
@@ -447,3 +448,55 @@ def test_image_bound_is_none_where_family_curves_are_certified():
         model = curve_from_j(parse_rational_expr(j_expr))
         for r in (11, 13, 17, 19):
             assert image_bound(model, r) is None, (j_expr, r)
+
+
+# ---- rational_torsion's shortcut when the counts leave order <= 2 ----
+
+def _two_division_points(model):
+    """The points of order 2: 2y + a1 x + a3 = 0 at the rational roots of
+    4x^3 + b2 x^2 + 2 b4 x + b6."""
+    xs = rational_roots_cubic(4, model.b2, 2 * model.b4, model.b6)
+    return tuple(sorted((x, -(model.a1 * x + model.a3) / 2) for x in xs))
+
+
+@pytest.mark.parametrize("j_expr, gcd", (
+    ("2*3^3*43^3", 2), ("3^3*5^3*17^3", 2), ("-2^18*3^3*5^3", 1),
+    ("-2^15*3^3*5^3*11^3", 1)))
+def test_rational_torsion_large_models_read_the_two_division_cubic(j_expr, gcd, monkeypatch):
+    model = curve_from_j(parse_rational_expr(j_expr))
+    assert modcurve._torsion_order_gcd(model) == gcd
+
+    def no_factoring(n):
+        raise AssertionError("the discriminant was factored")
+    monkeypatch.setattr(modcurve, "_factor_positive", no_factoring)
+    points = rational_torsion.__wrapped__(model)  # bypass the cache
+    assert points == _two_division_points(model)
+    assert len(points) + 1 == gcd
+
+
+def _cheap_models():
+    yield from (curve.model for curve in named_curves().values())
+    yield from (_tate_normal_form(b, c) for _, b, c in TATE_CASES)
+    for coeffs in ((0, 0, 0, 0, 1), (0, 0, 0, -1, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, -2)):
+        yield CurveModel(*coeffs)
+    for j_expr in ("0", "2^6*3^3", "-3^3*5^3", "-2^15"):
+        yield curve_from_j(parse_rational_expr(j_expr))
+
+
+def test_rational_torsion_matches_full_nagell_lutz_on_cheap_models():
+    shortcut = 0
+    for model in _cheap_models():
+        full = modcurve._nagell_lutz(model, two_torsion_only=False)
+        assert rational_torsion(model) == full, model
+        shortcut += modcurve._torsion_order_gcd(model) <= 2
+    assert 0 < shortcut < len(list(_cheap_models()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1), _SMALL, _SMALL)
+def test_rational_torsion_matches_full_nagell_lutz(a1, a2, a3, a4, a6):
+    try:
+        model = CurveModel(a1, a2, a3, a4, a6)
+    except SingularCurve:
+        return
+    assert rational_torsion(model) == modcurve._nagell_lutz(model, two_torsion_only=False)

@@ -1,18 +1,29 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
-                              gl2_order, is_applicable, is_scalar, mat_det,
-                              mat_inv, mat_mul, mat_trace, sl2_order)
+from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
+                              are_conjugate, gl2_order, is_applicable,
+                              is_scalar, mat_det, mat_inv, mat_mul, mat_trace,
+                              sl2_order)
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group_mod5, octahedral_group_mod13,
                                split_cartan_normalizer)
-from isogate.subgroup_enum import (_candidate_orbit_reps, _closure_capped,
-                                   _dickson_bound, _normalizer_generators,
+from isogate.subgroup_enum import (FUNNEL_STEPS, _candidate_orbit_reps,
+                                   _closure_capped, _det_preimage, _dickson_bound,
+                                   _normalizer_generators, _serre_tables,
                                    class_counts, subgroup_classes)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_counts_r5():
@@ -185,8 +196,9 @@ def test_classes_past_the_bound_contain_sl2(r, k):
 
 
 def _lagrange_capped_levels(r, max_generators):
-    """The extension step without the early exit: closures capped at |GL2|/2,
-    each candidate a MatrixGroup deduplicated by are_conjugate."""
+    """The extension step without the early exits: plain kernel closures
+    capped at |GL2|/2, each candidate a MatrixGroup deduplicated by
+    are_conjugate."""
     levels = [([MatrixGroup.close([], r)], False)]
     while len(levels) <= max_generators:
         prev_classes, hit_full = levels[-1]
@@ -197,10 +209,12 @@ def _lagrange_capped_levels(r, max_generators):
         for h_group in (g for g in prev_classes if g not in older):
             for x in _candidate_orbit_reps(h_group):
                 gens = h_group.generators + (x,)
-                codes = _closure_capped(gens, r, gl2_order(r) // 2)
-                if codes is None:
+                k = _kernel(r)
+                seen = k.closure([k.code(g) for g in gens], gl2_order(r) // 2)
+                if seen is None:
                     hit_full = True
                     continue
+                codes = k.members(seen)
                 cand = MatrixGroup._from_codes(r, codes, gens)
                 bucket = pool.setdefault(cand.fingerprint(), [])
                 if not any(are_conjugate(cand, known) for known in bucket):
@@ -220,3 +234,153 @@ def test_extension_step_matches_lagrange_capped_reference(r, k):
         assert inv.reaches_full_group == hit_full
         assert [(g.order, g.elements, g.generators) for g in inv.classes] == \
             [(g.order, g.elements, g.generators) for g in classes]
+
+
+# ---- SL2 from Serre's three elements ----
+
+def _level_candidates(r, level):
+    """Every generator tuple the extension step closes to build one level."""
+    def classes(n):
+        return subgroup_classes(r, n).classes if n else (MatrixGroup.close([], r),)
+    older = classes(level - 2) if level >= 2 else ()
+    for h_group in (g for g in classes(level - 1) if g not in older):
+        for x in _candidate_orbit_reps(h_group):
+            yield h_group.generators + (x,)
+
+
+@pytest.mark.parametrize("r, k", ((5, 3), (7, 3), (11, 2)))
+def test_serre_exits_pass_the_dickson_bound(r, k):
+    kernel, bound = _kernel(r), _dickson_bound(r)
+    exits = 0
+    for gens in (g for level in range(1, k + 1) for g in _level_candidates(r, level)):
+        got = _closure_capped(gens, r, bound)
+        plain = kernel.closure([kernel.code(g) for g in gens], bound)
+        if got is False:
+            exits += 1
+            assert plain is None, gens
+        elif got is None:
+            assert plain is None, gens
+        else:
+            assert plain is not None and got.tolist() == kernel.members(plain).tolist()
+    assert exits > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((5, 7, 11, 13)), st.lists(st.integers(0, 26207), min_size=1, max_size=3))
+def test_serre_exit_implies_sl2(r, picks):
+    gl = all_gl2(r)
+    gens = [gl[i % len(gl)] for i in picks]
+    if _closure_capped(gens, r, gl2_order(r)) is False:
+        assert MatrixGroup.close(gens, r).sl2_part().order == sl2_order(r)
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_serre_tables_miss_each_maximal_subgroup(r):
+    by_key, by_code = _serre_tables(r)
+    octahedral = {5: octahedral_group_mod5, 13: octahedral_group_mod13}.get(r)
+    groups = [borel(r), split_cartan_normalizer(r), nonsplit_cartan_normalizer(r)]
+    groups += [octahedral()] if octahedral is not None else []
+    for group in groups:
+        bits = 0
+        for m in group.elements:
+            bits |= by_key[mat_trace(m, r) * r + mat_det(m, r)]
+        assert bits != 7, group
+    assert np.bitwise_or.reduce(by_code[_kernel(r).gl]) == 7
+    assert not by_code.flags.writeable
+
+
+def test_det_preimage_is_cached_and_read_only():
+    codes, fingerprint = _det_preimage(((4, 0, 0, 1), (1, 1, 0, 1)), 5)
+    assert _det_preimage(((3, 0, 0, 1),), 5) is None  # det 3 generates F_5^*
+    assert _det_preimage([(0, 1, 1, 0)], 5)[0] is codes  # det 4 again
+    assert not codes.flags.writeable
+    assert len(codes) == 240 and fingerprint[0] == 240
+
+
+# ---- frozen levels and the funnel ----
+
+def _level_digest(inv):
+    payload = repr(([(g.order, g.elements, g.generators) for g in inv.classes],
+                    inv.reaches_full_group))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# sha256 of every level, computed before the Serre and exact-repeat exits
+FROZEN_LEVELS = {
+    (5, 1): "f55d98a9a2a4ebb2aaed7c8cf22e66c41d03d3c662a90bc8311981ce6d9d3c3e",
+    (5, 2): "13e90eb81add1631e354ca8da0e6cff4e7d74e0d34293ef6e4a462241b972a6d",
+    (5, 3): "7a332f512514774728af7e50695610abd5b5de35771b60659fc2df92cb69ebbf",
+    (7, 1): "7445a643897f50b08d7de404561e3f9c901da5d00192fb347f0de07b38b1b227",
+    (7, 2): "3b4eb36e9738c896f62f44260440249656f452e7b8026c43cb59460122a6385a",
+    (7, 3): "3b4eb36e9738c896f62f44260440249656f452e7b8026c43cb59460122a6385a",
+    (11, 1): "0d21613f67c190f082d787c279961b1a4a0637ff3556e286eefe451d5b7b9af2",
+    (11, 2): "d987d3eff74d2db0999b58d9f9892783ebd4b3a4707f6b5282dd7b8701aefc0b",
+    (13, 1): "f1c772578c3f899138c89f6ef0c68aa86d62f553a971ca7130131675abfcf978",
+    (13, 2): "2979445cd1c5767a240d59948888f187adeb4c4868c21974476974616f679501",
+}
+
+
+@pytest.mark.parametrize("r, level", sorted(FROZEN_LEVELS))
+def test_levels_match_frozen_digests(r, level):
+    assert _level_digest(subgroup_classes(r, level)) == FROZEN_LEVELS[r, level]
+
+
+@pytest.mark.parametrize("r, k", ((5, 3), (7, 3), (11, 2)))
+def test_funnel_accounts_for_every_candidate(r, k):
+    bound = _dickson_bound(r)
+    for level in range(1, k + 1):
+        inv = subgroup_classes(r, level)
+        funnel = inv.funnel
+        assert tuple(funnel) == FUNNEL_STEPS
+        assert sum(funnel.values()) == 2 * funnel["candidates"]
+        before = subgroup_classes(r, level - 1).classes if level > 1 else \
+            (MatrixGroup.close([], r),)
+        assert funnel["new_class"] == inv.count - len(before)
+        # replay the level with plain kernel closures capped at B(r)
+        kernel = _kernel(r)
+        seen = {g._code_array().tobytes() for g in before}
+        tally = {"candidates": 0, "full_group": 0, "sl2": 0, "exact_repeats": 0}
+        for gens in _level_candidates(r, level):
+            tally["candidates"] += 1
+            closed = kernel.closure([kernel.code(g) for g in gens], bound)
+            codes = None if closed is None else kernel.members(closed)
+            if codes is None:
+                dets = {1}
+                while True:
+                    more = dets | {d * mat_det(g, r) % r for d in dets for g in gens}
+                    if more == dets:
+                        break
+                    dets = more
+                tally["full_group" if len(dets) == r - 1 else "sl2"] += 1
+            elif codes.tobytes() in seen:
+                tally["exact_repeats"] += 1
+            else:
+                seen.add(codes.tobytes())
+        new_above = sum(g.order > bound for g in inv.classes) - \
+            sum(g.order > bound for g in before)
+        assert tally == {"candidates": funnel["candidates"], "full_group": funnel["full_group"],
+                         "sl2": funnel["sl2_by_words"] + funnel["sl2_by_cap"] + new_above,
+                         "exact_repeats": funnel["exact_repeats"]}
+    # a proper group over SL2(F_5) has dets in {1, 4}, so u = tr^2/det lies in
+    # {0, 1, 4} on it: the words settle none of them, the cap all
+    by_words = sum(subgroup_classes(r, level).funnel["sl2_by_words"] for level in range(1, k + 1))
+    assert (by_words == 0) == (r == 5)
+
+
+_FUNNEL_SCRIPT = """
+import json
+from isogate.subgroup_enum import subgroup_classes
+print(json.dumps([subgroup_classes(r, k).funnel for r, k in ((5, 1), (5, 3), (7, 2))]))
+"""
+
+
+def test_funnel_repeats_across_cold_runs():
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _FUNNEL_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0] == [subgroup_classes(r, k).funnel for r, k in ((5, 1), (5, 3), (7, 2))]
