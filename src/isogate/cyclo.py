@@ -144,11 +144,11 @@ def _cubic_int_model(j) -> tuple[int, int]:
     return int(curve.a4 * s ** 4), int(curve.a6 * s ** 6)
 
 
-def _split_samples(j, r: int, limit: int = 5) -> tuple[tuple[int, int], ...]:
+def _split_samples(j, r: int) -> tuple[tuple[int, int], ...]:
     a, b = _cubic_int_model(j)
     samples = []
     q = 1
-    while len(samples) < limit and q < 10 ** 6:
+    while len(samples) < 5 and q < 10 ** 6:
         q += r
         if not is_probable_prime(q) or a % q == 0 or b % q == 0:
             continue

@@ -34,7 +34,7 @@ class RangeExceeded(IsogateError):
 
 
 class FactorizationIncomplete(IsogateError):
-    """A cofactor above the effort cap resisted the factoring pipeline."""
+    """Brent's rho found no factor of a composite cofactor within its effort cap."""
 
 
 class SingularCurve(IsogateError):

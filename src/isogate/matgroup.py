@@ -19,7 +19,6 @@ allocating anything.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 
@@ -158,14 +157,10 @@ class _Kernel:
     are tables indexed by code; gl_digits and gl_inv_digits hold the
     entries of each m in gl and of m^-1.  Right multiplication maps (left
     products follow from them and inv) and the map m -> m g m^-1 over gl
-    are built per generator and kept in one small LRU cache, so the maps
-    of a subgroup's generators are reused while those of one-off
-    candidates are dropped.
+    are built per generator and kept in one small LRU cache (_kernel_map),
+    so the maps of a subgroup's generators are reused while those of
+    one-off candidates are dropped.
     """
-
-    # maps kept across all moduli; a subgroup search needs a handful at a time
-    _CACHE_SIZE = 8
-    _cache: OrderedDict = OrderedDict()
 
     def __init__(self, r: int):
         _require_kernel_range(r, "the integer-indexed GL2 kernel")
@@ -223,27 +218,9 @@ class _Kernel:
 
     # cached maps
 
-    def _cached(self, key, build) -> np.ndarray:
-        cache = self._cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
-        out = build()
-        cache[key] = out
-        if len(cache) > self._CACHE_SIZE:
-            cache.popitem(last=False)
-        return out
-
     def right_map(self, code: int) -> np.ndarray:
         """x -> x g over all codes: each row of x is multiplied by g on its own."""
-        def build():
-            r = self.r
-            e, f, g, h = self.digits(code)
-            p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
-            row = (e * p + g * q) % r * r + (f * p + h * q) % r
-            return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
-        return self._cached((self.r, "R", int(code)), build)
+        return _kernel_map(self.r, "R", int(code))
 
     def conjugates_at(self, code: int, positions) -> np.ndarray:
         """m g m^-1 for the m at the given positions of gl.
@@ -260,8 +237,7 @@ class _Kernel:
 
     def conjugates(self, code: int) -> np.ndarray:
         """m g m^-1 for every m in gl, in gl order."""
-        return self._cached((self.r, "C", int(code)),
-                            lambda: self.conjugates_at(code, slice(None)))
+        return _kernel_map(self.r, "C", int(code))
 
     # group algorithms
 
@@ -339,6 +315,19 @@ class _Kernel:
 @lru_cache(maxsize=None)
 def _kernel(r: int) -> _Kernel:
     return _Kernel(r)
+
+
+# maps kept across all moduli; a subgroup search needs a handful at a time
+@lru_cache(maxsize=8)
+def _kernel_map(r: int, kind: str, code: int) -> np.ndarray:
+    """The right-multiplication ("R") or conjugation ("C") map of one code."""
+    k = _kernel(r)
+    if kind == "C":
+        return k.conjugates_at(code, slice(None))
+    e, f, g, h = k.digits(code)
+    p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
+    row = (e * p + g * q) % r * r + (f * p + h * q) % r
+    return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
 
 
 def _closure_tuples(gens, r: int, seen: set) -> set:

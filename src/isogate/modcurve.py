@@ -73,10 +73,10 @@ def add_points(model: CurveModel, p1: Point, p2: Point) -> Point:
     return (x3, y3)
 
 
-def point_order(model: CurveModel, pt: Point, cap: int = _POINT_CAP) -> int | None:
-    """Order of pt in the group law, or None if it exceeds cap."""
+def point_order(model: CurveModel, pt: Point) -> int | None:
+    """Order of pt in the group law, or None if it exceeds _POINT_CAP."""
     acc = pt
-    for n in range(1, cap + 1):
+    for n in range(1, _POINT_CAP + 1):
         if acc is None:
             return n
         acc = add_points(model, acc, pt)

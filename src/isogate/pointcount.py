@@ -24,7 +24,7 @@ _BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=32)
-def _primes_upto(n: int) -> tuple[int, ...]:
+def primes_upto(n: int) -> tuple[int, ...]:
     if n < 2:
         return ()
     sieve = np.ones(n + 1, dtype=bool)
@@ -33,10 +33,6 @@ def _primes_upto(n: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p::p] = False
     return tuple(int(p) for p in np.nonzero(sieve)[0])
-
-
-def primes_upto(n: int) -> tuple[int, ...]:
-    return _primes_upto(n)
 
 
 @lru_cache(maxsize=1)

@@ -58,6 +58,8 @@ def parse_rational_expr(text: str) -> Fraction:
             atom = Fraction(int(base_s)) ** int(exp_s)
         else:
             atom = Fraction(int(piece))
+        if op == "/" and not atom:
+            raise ValueError(f"division by zero in {text!r}")
         value = value * atom if op == "*" else value / atom
     return -value if negative else value
 
@@ -87,8 +89,7 @@ def format_rational(q: Rational) -> str:
 
 # ---- primality and the factoring pipeline ----
 
-_TRIAL_LIMIT = 10 ** 6
-_COFACTOR_CAP = 10 ** 12
+_TRIAL_PRIMES = primes_upto(2000)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -96,7 +97,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24 with these bases."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -151,15 +152,11 @@ def _brent_rho(n: int, c: int, max_iters: int):
     return g if 1 < g < n else None
 
 
-@lru_cache(maxsize=1)
-def _trial_primes():
-    return primes_upto(_TRIAL_LIMIT)
-
-
 def _factor_positive(n: int) -> dict[int, int]:
-    """Prime exponents of n >= 1; FactorizationIncomplete past the effort cap."""
+    """Prime exponents of n >= 1: trial division below 2000, then Miller-Rabin,
+    square roots and Brent's rho; FactorizationIncomplete past rho's effort cap."""
     out: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -185,9 +182,7 @@ def _factor_positive(n: int) -> dict[int, int]:
             if factor:
                 break
         if factor is None:
-            if m > _COFACTOR_CAP:
-                raise FactorizationIncomplete(f"cofactor {m} resisted the pipeline")
-            raise FactorizationIncomplete(f"cofactor {m} unexpectedly hard")  # not reached in practice
+            raise FactorizationIncomplete(f"cofactor {m} resisted the pipeline")
         stack.append((factor, mult))
         stack.append((m // factor, mult))
     return out
@@ -411,7 +406,7 @@ def rational_roots_cubic(c3: Rational, c2: Rational, c1: Rational, c0: Rational)
     return verified
 
 
-_WITNESS_PRIMES = tuple(p for p in primes_upto(2000) if p > 3)
+_WITNESS_PRIMES = tuple(p for p in _TRIAL_PRIMES if p > 3)
 
 
 def root_free_witness(coeffs) -> int | None:

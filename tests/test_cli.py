@@ -148,6 +148,15 @@ def test_curves_disc_class_rejects_1728(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("j", ["5/0", "1/0^3"])
+def test_curves_disc_class_rejects_zero_divisor(capsys, j):
+    # bad input, not a crash
+    assert main(["curves", "disc-class", f"--j={j}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "unexpected" not in lines[0]
+
+
 def test_torsion_bound_command(capsys):
     assert main(["torsion-bound", "--curve", "X0(14)", "--r", "7"]) == 0
     out = capsys.readouterr().out

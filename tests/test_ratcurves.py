@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def test_parse_rational_expr():
 
 
 def test_parse_rational_expr_errors():
-    for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a"):
+    for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3"):
         with pytest.raises(ValueError):
             parse_rational_expr(bad)
 
@@ -152,6 +153,18 @@ def test_factor_positive_matches_sympy():
         p = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 9))
         q = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 9))
         cases += [p * q, p * p * rng.randrange(1, 1000), p]
+    # primes between the trial-division table (below 2000) and 10^6, which
+    # only Miller-Rabin, the square test and rho see: powers, products of
+    # three and four, and those times two primes in [10^9, 2*10^9)
+    mids = [2003, 4973, 7717, 11443, 14891, 25561, 999983]
+    mids += [int(sympy.nextprime(rng.randrange(2000, 10 ** 6))) for _ in range(8)]
+    for p in mids:
+        cases += [p ** 3, p ** 5, p ** 7]
+    for _ in range(8):
+        three = math.prod(rng.sample(mids, 3))
+        four = three * rng.choice(mids)
+        bigs = [int(sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))) for _ in range(2)]
+        cases += [three, four, three * math.prod(bigs), four * math.prod(bigs)]
     for n in cases:
         expected = {int(p): e for p, e in sympy.factorint(n).items()}
         assert _factor_positive(n) == expected, n
