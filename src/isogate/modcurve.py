@@ -271,13 +271,19 @@ def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
     return _nagell_lutz(model, two_torsion_only=_torsion_order_gcd(model) <= 2)
 
 
+# small primes that sift the Nagell-Lutz candidates Y before the exact cubic
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
 def _nagell_lutz(model: CurveModel, two_torsion_only: bool) -> tuple[Point, ...]:
     """Torsion points of an integral model, from the candidate Y above.
 
     Each candidate Y gives the integer roots X of X^3 + AX + B - Y^2; a
     candidate is kept when the group law reaches infinity within
     _POINT_CAP steps, which Mazur's bound (orders at most 12) makes exact.
-    With two_torsion_only, Y = 0 is the only candidate.
+    With two_torsion_only, Y = 0 is the only candidate.  A Y whose square
+    is not a value of X^3 + AX + B mod some p in _SIEVE_PRIMES is dropped
+    before the exact cubic: an integer root X would be one mod every p.
     """
     b2, b4, b6 = model.b2, model.b4, model.b6
     c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
@@ -288,8 +294,12 @@ def _nagell_lutz(model: CurveModel, two_torsion_only: bool) -> tuple[Point, ...]
         disc = abs(int(model.discriminant())) * 2 ** 8 * 3 ** 12
         for p, e in _factor_positive(disc).items():
             ys = [y * p ** k for y in ys for k in range(e // 2 + 1)]
+    a4, a6 = int(short.a4), int(short.a6)
+    values = [(p, {(x * x * x + a4 * x + a6) % p for x in range(p)}) for p in _SIEVE_PRIMES]
     found = []
     for y_short in [0] + ys:
+        if any(y_short * y_short % p not in vals for p, vals in values):
+            continue
         for x_short in rational_roots_cubic(1, 0, short.a4, short.a6 - y_short * y_short):
             for pt in {(x_short, Fraction(y_short)), (x_short, Fraction(-y_short))}:
                 if point_order(short, pt) is None:

@@ -34,12 +34,19 @@ Rational = Fraction | int
 
 # ---- factored rational expression syntax ----
 
+# bound on every atom, numerator and denominator of a parsed expression;
+# the registry's largest value is 137 bits
+_EXPR_LIMIT_BITS = 256
+
+
 def parse_rational_expr(text: str) -> Fraction:
     """Parse 'n', 'n/d', or factored forms like '-17*373^3/2^17'.
 
     Grammar: optional leading minus, then integer atoms with optional
     '^exponent', combined left-to-right by '*' and '/'.  Unicode minus
-    signs and superscripts are normalized away first.
+    signs and superscripts are normalized away first.  An atom, numerator
+    or denominator above 2^256 raises ValueError, a large power before it
+    is computed.
     """
     s = text.strip().replace("−", "-").replace(" ", "")
     if not s:
@@ -53,14 +60,19 @@ def parse_rational_expr(text: str) -> Fraction:
         if piece in ("*", "/"):
             op = piece
             continue
-        if "^" in piece:
-            base_s, _, exp_s = piece.partition("^")
-            atom = Fraction(int(base_s)) ** int(exp_s)
-        else:
-            atom = Fraction(int(piece))
+        base_s, caret, exp_s = piece.partition("^")
+        base, exp = int(base_s), int(exp_s) if caret else 1
+        # base >= 2^(bits - 1), so this refuses only powers above the limit
+        if base > 1 and (base.bit_length() - 1) * exp > _EXPR_LIMIT_BITS:
+            raise ValueError(f"{piece!r} exceeds 2^{_EXPR_LIMIT_BITS} in {text!r}")
+        atom = base ** exp
         if op == "/" and not atom:
             raise ValueError(f"division by zero in {text!r}")
         value = value * atom if op == "*" else value / atom
+        for part in (atom, value.numerator, value.denominator):
+            if part > 2 ** _EXPR_LIMIT_BITS:
+                raise ValueError(f"{text!r} exceeds 2^{_EXPR_LIMIT_BITS} in a numerator "
+                                 "or denominator")
     return -value if negative else value
 
 

@@ -8,9 +8,12 @@ oracle for the structured searches elsewhere in the package, not as a
 primary search itself.
 
 For the extension step the candidate generator x only matters up to
-x -> x^-1, x -> xh (h in the subgroup) and conjugation by the subgroup's
+x -> x^k for k prime to the order of x (<H, x^k> = <H, x>; k = -1 is the
+inverse), x -> xh (h in the subgroup) and conjugation by the subgroup's
 normalizer; x -> hx is (x^-1 h^-1)^-1, so it adds nothing.  One closure
-per orbit of those moves suffices.
+per orbit of those moves suffices.  The power moves are read from one
+table per r (_cyclic_generator_table), which sends each element to the
+least generator of the cyclic group it generates.
 
 Each closure stops as soon as it is known to contain SL2.  By Dickson's
 classification (Serre 1972, section 2), a proper subgroup of GL2(F_r),
@@ -157,12 +160,58 @@ def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
     return tuple(k.decode(k.generating_subset(norm)))
 
 
+def _times(u, v, r: int):
+    """Entrywise products of two stacks of matrices, given as digit arrays (a, b, c, d)."""
+    p, q, s, t = u
+    a, b, c, d = v
+    return (p * a + q * c) % r, (p * b + q * d) % r, (s * a + t * c) % r, (s * b + t * d) % r
+
+
+@lru_cache(maxsize=None)
+def _cyclic_generator_table(r: int) -> np.ndarray:
+    """Position in all_gl2(r) -> least position of a generator of the same cyclic group.
+
+    x^j generates <x> exactly when gcd(j, ord x) = 1, and x^-j with it, so
+    the powers up to j = ord(x) / 2 and their inverses list every
+    generator.  The order is a class function, and a class of GL2(F_r) is
+    fixed by trace, determinant and whether the matrix is scalar, so it is
+    found on one representative per class.  Read-only.
+    """
+    k = _kernel(r)
+    pos = k.gl_index
+    a, b, c, d = x = k.gl_digits
+    key = k.trace_det[k.gl] * 2 + ((b == 0) & (c == 0) & (a == d))
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    reps = tuple(v[first] for v in x)
+    rep_order = np.zeros(len(first), dtype=np.int32)
+    power, j = reps, 1
+    while not rep_order.all():
+        rep_order[(k._encode(*power) == k.ident) & (rep_order == 0)] = j
+        power, j = _times(power, reps, r), j + 1
+    table = np.arange(len(k.gl), dtype=np.int32)
+    live, order, power, j = table.copy(), rep_order[cls], x, 1
+    while len(live):
+        gens = np.gcd(order, j) == 1
+        at, codes = live[gens], k._encode(*(v[gens] for v in power))
+        table[at] = np.minimum(table[at], np.minimum(pos[codes], pos[k.inv[codes]]))
+        j += 1
+        keep = order >= 2 * j
+        if not keep.all():
+            live, order = live[keep], order[keep]
+            x, power = [v[keep] for v in x], [v[keep] for v in power]
+        power = _times(power, x, r)
+    table.flags.writeable = False
+    return table
+
+
 def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     """One representative per orbit of candidate extra generators.
 
     Each move is a permutation of GL2, taken on positions in all_gl2(r)
-    together with its inverse permutation.  Every element starts labelled
-    by its own position; repeatedly taking the least label over each move
+    together with its inverse permutation; the power moves come from
+    _cyclic_generator_table.  Every element starts labelled by the least
+    generator of its cyclic group; repeatedly taking the least label over
+    each move, then over each cyclic group (both ways along the table),
     and then the label of the label converges to the least position in
     each orbit, so the representatives are the orbit minima, in increasing
     order, as a walk from each least unvisited element would list them.
@@ -172,7 +221,7 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     gl, pos = k.gl, k.gl_index
     hgens = [k.code(g) for g in group.generators if g != IDENT]
     ngens = [k.code(z) for z in _normalizer_generators(group)]
-    moves = [k.inv[gl]]
+    moves = []
     for h in hgens:
         moves.append(k.right_map(h)[gl])
     for z in ngens:
@@ -184,11 +233,14 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
         back = np.empty_like(perm)
         back[perm] = np.arange(len(perm), dtype=perm.dtype)
         perms += (perm, back)
-    label = np.arange(len(gl), dtype=np.int32)
+    cyc = _cyclic_generator_table(r)
+    label = cyc
     while True:
         new = label
         for perm in perms:
             new = np.minimum(new, new[perm])
+        new = np.minimum(new, new[cyc])
+        np.minimum.at(new, cyc, new)
         new = new[new]
         if np.array_equal(new, label):
             break

@@ -148,13 +148,24 @@ def test_curves_disc_class_rejects_1728(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("j", ["5/0", "1/0^3"])
-def test_curves_disc_class_rejects_zero_divisor(capsys, j):
-    # bad input, not a crash
-    assert main(["curves", "disc-class", f"--j={j}"]) == 2
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "unexpected" not in lines[0]
+
+
+@pytest.mark.parametrize("j", ["5/0", "1/0^3"])
+def test_curves_disc_class_rejects_zero_divisor(capsys, j):
+    # bad input, not a crash
+    _assert_input_error(capsys, ["curves", "disc-class", f"--j={j}"])
+
+
+@pytest.mark.parametrize("j", ["2^2000", "2^99999999", "-1/3^99999999", "2^257",
+                               "2^200*2^57", "1/2^256/2", "9" * 78])
+def test_curves_disc_class_rejects_j_past_2_256(capsys, j):
+    # refused before the power is built or the number factored, not a hang
+    _assert_input_error(capsys, ["curves", "disc-class", f"--j={j}"])
 
 
 def test_torsion_bound_command(capsys):

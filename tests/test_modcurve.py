@@ -500,3 +500,24 @@ def test_rational_torsion_matches_full_nagell_lutz(a1, a2, a3, a4, a6):
     except SingularCurve:
         return
     assert rational_torsion(model) == modcurve._nagell_lutz(model, two_torsion_only=False)
+
+
+def test_nagell_lutz_sieve_keeps_every_torsion_point(monkeypatch):
+    sifted = [modcurve._nagell_lutz(model, two_torsion_only=False) for model in _cheap_models()]
+    monkeypatch.setattr(modcurve, "_SIEVE_PRIMES", ())
+    assert sifted == [modcurve._nagell_lutz(model, two_torsion_only=False)
+                      for model in _cheap_models()]
+
+
+def test_nagell_lutz_sieve_cuts_the_exact_cubics(monkeypatch):
+    solved = []
+
+    def counting(*coeffs):
+        solved[-1] += 1
+        return rational_roots_cubic(*coeffs)
+    monkeypatch.setattr(modcurve, "rational_roots_cubic", counting)
+    for curve in named_curves().values():
+        solved.append(0)
+        modcurve._nagell_lutz(curve.model, two_torsion_only=False)
+    # of 106, 113 and 127 candidate Y (Y = 0 included) for X0(11), X0(14), X0(20)
+    assert solved == [8, 9, 19]

@@ -33,10 +33,17 @@ def test_parse_rational_expr():
     # division folds left to right: a/b/c = a/(b*c)
     assert parse_rational_expr("100/2/5") == 10
     assert parse_rational_expr("−2^15") == -32768  # unicode minus
+    # numerators and denominators up to 2^256 are taken
+    assert parse_rational_expr("-2^256") == -2 ** 256
+    assert parse_rational_expr("3^161/2^256") == Fraction(3 ** 161, 2 ** 256)
+    assert parse_rational_expr("1^99999999*0^99999999") == 0
 
 
 def test_parse_rational_expr_errors():
-    for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3"):
+    for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3",
+                # an atom, numerator or denominator above 2^256
+                "2^257", "2^99999999", "3^162", "9" * 78, "2^200*2^57", "1/2^256/2",
+                "1/3^100*3^200"):
         with pytest.raises(ValueError):
             parse_rational_expr(bad)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group_mod5, octahedral_group_mod13,
                                split_cartan_normalizer)
 from isogate.subgroup_enum import (FUNNEL_STEPS, _candidate_orbit_reps,
-                                   _closure_capped, _det_preimage, _dickson_bound,
+                                   _closure_capped, _cyclic_generator_table,
+                                   _det_preimage, _dickson_bound,
                                    _normalizer_generators, _serre_tables,
                                    class_counts, subgroup_classes)
 
@@ -89,9 +91,33 @@ def _reference_normalizer(group):
     return out
 
 
+@lru_cache(maxsize=None)
+def _reference_cyclic_generators(r):
+    """Each m in GL2 -> the listed powers m^k, gcd(k, ord m) = 1, that generate <m>."""
+    out = {}
+    for m in all_gl2(r):
+        powers = [m]
+        while powers[-1] != IDENT:
+            powers.append(mat_mul(powers[-1], m, r))
+        n = len(powers)
+        out[m] = [powers[k - 1] for k in range(1, n + 1) if gcd(k, n) == 1]
+    return out
+
+
+@pytest.mark.parametrize("r", (5, 7))
+def test_cyclic_generator_table_matches_listed_powers(r):
+    gl = all_gl2(r)
+    index = {m: i for i, m in enumerate(gl)}
+    table = _cyclic_generator_table(r)
+    generators = _reference_cyclic_generators(r)
+    assert table.tolist() == [min(index[g] for g in generators[m]) for m in gl]
+    assert not table.flags.writeable
+
+
 def _reference_orbit_minima(group):
     """Orbit walk over GL2 minus the group; each orbit listed by its minimum."""
     r = group.r
+    generators = _reference_cyclic_generators(r)
     hgens = [g for g in group.generators if g != IDENT]
     # the orbits depend only on the group the conjugators generate
     norm = _reference_normalizer(group)
@@ -104,7 +130,7 @@ def _reference_orbit_minima(group):
         frontier = [seed]
         while frontier:
             x = frontier.pop()
-            moves = [mat_inv(x, r)]
+            moves = list(generators[x])  # x^-1 is x^(ord x - 1)
             moves += [mat_mul(x, h, r) for h in hgens]
             moves += [mat_mul(h, x, r) for h in hgens]
             moves += [mat_mul(mat_mul(z, x, r), zi, r) for z, zi in conjugators]
@@ -365,6 +391,20 @@ def test_funnel_accounts_for_every_candidate(r, k):
     # {0, 1, 4} on it: the words settle none of them, the cap all
     by_words = sum(subgroup_classes(r, level).funnel["sl2_by_words"] for level in range(1, k + 1))
     assert (by_words == 0) == (r == 5)
+
+
+# one closure per orbit of x -> x^k (gcd(k, ord x) = 1), x -> xh and N(H)
+CANDIDATES_PER_LEVEL = {
+    (5, 1): 14, (5, 2): 153, (5, 3): 146,
+    (7, 1): 22, (7, 2): 376, (7, 3): 344,
+    (11, 1): 32, (11, 2): 614,
+    (13, 1): 46, (13, 2): 1406,
+}
+
+
+@pytest.mark.parametrize("r, level", sorted(CANDIDATES_PER_LEVEL))
+def test_candidates_per_level_are_pinned(r, level):
+    assert subgroup_classes(r, level).funnel["candidates"] == CANDIDATES_PER_LEVEL[r, level]
 
 
 _FUNNEL_SCRIPT = """
