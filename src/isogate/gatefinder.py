@@ -23,21 +23,27 @@ So H runs over the T_d with d > 2 and g over the elements of N(C_s) of
 determinant delta, and <H, g> is one closure.  Every survivor is
 re-verified against the defining predicates independently of how it was
 found.
+
+Conjugacy is decided inside N(C_s) as well, with no GL2-wide scan.  Each
+candidate G has S(G) = T_d (d > 2), and <G, -I> has S = T_lcm(d, 2).  A
+conjugator between two such groups maps the determinant-one part of the
+one onto that of the other.  Both are subgroups of the cyclic group T of
+the same order, hence the same T_d, so the conjugator lies in
+N(T_d) = N(C_s).  Scanning the sorted elements of N(C_s) therefore finds
+the lexicographically first witness over all of GL2, and the search runs
+at every supported modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch, RangeExceeded
+from .errors import ModulusMismatch
 from .linaction import fixed_lines
-from .matgroup import (IDENT, Mat, MatrixGroup, are_conjugate, gl2_order,
-                       is_applicable, mat_det, mat_inv, mat_mul, mat_pow,
-                       minus_identity)
+from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, is_applicable,
+                       mat_det, mat_inv, mat_mul, mat_pow, minus_identity)
 from .modfield import generator, validate_modulus
 from .stdgroups import split_cartan_normalizer
-
-_SEARCH_MODULI = (5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,13 @@ def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGro
     conjugated by m.
     """
     validate_modulus(r)
-    if r not in _SEARCH_MODULI:
-        raise RangeExceeded(f"gate search supports r in {_SEARCH_MODULI}, got {r}")
     delta = generator(r)
     m = IDENT if reference_conjugator is None else reference_conjugator
     mi = mat_inv(m, r)
     # elements are stored sorted, so the extenders come in lexicographic order
     normalizer = split_cartan_normalizer(r).conjugate_by(m)
     extenders = [g for g in normalizer if mat_det(g, r) == delta]
-    found: dict = {}
+    groups: list[MatrixGroup] = []
     for d in range(3, r):
         if (r - 1) % d:
             continue
@@ -92,12 +96,10 @@ def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGro
             built.update(cand.elements)
             if not _verify_gate_group(cand, r):
                 continue
-            bucket = found.setdefault(cand.fingerprint(), [])
-            if not any(are_conjugate(cand, known) for known in bucket):
-                bucket.append(cand)
-    groups = [g for bucket in found.values() for g in bucket]
+            if all(_conjugator_in(normalizer, cand, known) is None for known in groups):
+                groups.append(cand)
     groups.sort(key=lambda g: (-g.order, g.elements))
-    groups, pairs = _normalize_plus_minus(groups)
+    groups, pairs = _normalize_plus_minus(groups, normalizer)
     indices = tuple(gl2_order(r) // g.order for g in groups)
     return GateGroupResult(r, tuple(groups), indices, pairs)
 
@@ -114,11 +116,27 @@ def _verify_gate_group(group: MatrixGroup, r: int) -> bool:
     return bool(fixed_lines(sl2))
 
 
-def _normalize_plus_minus(groups: list[MatrixGroup]):
+def _conjugator_in(normalizer: MatrixGroup, a_group: MatrixGroup, b_group: MatrixGroup):
+    """The least m in the normalizer with m A m^-1 = B, or None.
+
+    Mapping the generators of A into B suffices since both have equal order.
+    """
+    if a_group.order != b_group.order:
+        return None
+    r = a_group.r
+    for m in normalizer:
+        mi = mat_inv(m, r)
+        if all(mat_mul(mat_mul(m, g, r), mi, r) in b_group for g in a_group.generators):
+            return m
+    return None
+
+
+def _normalize_plus_minus(groups: list[MatrixGroup], normalizer: MatrixGroup):
     """Pick class representatives so listed pair relations hold on the nose.
 
     When <-I, groups[j]> is conjugate to groups[i] by m, replacing groups[j]
-    with its m-conjugate makes the relation literal set equality.
+    with its m-conjugate makes the relation literal set equality.  Both
+    groups have S = T_d with d > 2, so m is sought in the normalizer N(C_s).
     """
     groups = list(groups)
     pairs = []
@@ -127,7 +145,7 @@ def _normalize_plus_minus(groups: list[MatrixGroup]):
             if i == j or gi.order % gj.order != 0:
                 continue
             extended = MatrixGroup.close(gj.generators + (minus_identity(gj.r),), gj.r)
-            witness = are_conjugate(extended, gi)
+            witness = _conjugator_in(normalizer, extended, gi)
             if witness is None:
                 continue
             groups[j] = gj.conjugate_by(witness)

@@ -56,7 +56,7 @@ def test_run_claim_errors():
         run_claim("nope")
     with pytest.raises(ValueError):
         run_claim("disc-7", moduli=(7,))
-    for claim_id, r in (("cartan-lemma", 4), ("cm-criterion", 101), ("gate-search", 17),
+    for claim_id, r in (("cartan-lemma", 4), ("cm-criterion", 101), ("gate-search", 41),
                         ("surjectivity", 3), ("cube-cartan", 5), ("g3-orbits", 7)):
         with pytest.raises(ValueError, match=f"r = {r}"):
             run_claim(claim_id, moduli=(r,))

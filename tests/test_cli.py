@@ -54,7 +54,7 @@ def test_verify_with_moduli(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["cartan-lemma", "--r", "4"],
-    ["gate-search", "--r", "17"],
+    ["gate-search", "--r", "41"],
     ["surjectivity", "--r", "3"],
     ["cube-cartan", "--r", "5"],
     ["g3-orbits", "--r", "7"],
@@ -132,8 +132,10 @@ def test_search_gate_groups(tmp_path, capsys):
 
 
 def test_search_gate_groups_range(capsys):
-    assert main(["search", "gate-groups", "--r", "17"]) == 2
+    assert main(["search", "gate-groups", "--r", "101"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["search", "gate-groups", "--r", "17"]) == 0
+    assert capsys.readouterr().out.startswith("r=17: 3 conjugacy classes\n")
 
 
 def test_curves_disc_class(capsys):

@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from isogate.errors import RangeExceeded
-from isogate.gatefinder import (GateGroupResult, _normalize_plus_minus,
-                                _verify_gate_group, find_gate_groups,
-                                plus_minus_related)
+from isogate import gatefinder
+from isogate.errors import CompositeModulus
+from isogate.gatefinder import (GateGroupResult, _verify_gate_group,
+                                find_gate_groups, plus_minus_related)
 from isogate.linaction import fixed_lines
 from isogate.matgroup import (IDENT, MatrixGroup, _kernel, are_conjugate,
                               gl2_order, is_applicable, is_scalar, mat_det,
                               mat_inv, mat_mul, mat_pow, minus_identity,
                               random_gl2)
-from isogate.modfield import generator
+from isogate.modfield import generator, supported_moduli
 from isogate.stdgroups import (borel, nonsplit_cartan_cubes_extended,
                                split_cartan_normalizer)
 
@@ -43,6 +43,28 @@ def _kernel_normalizer(group):
     return {k.gl_mats[i] for i in hits.tolist()}
 
 
+def _kernel_normalize_plus_minus(groups: list[MatrixGroup]):
+    """Pick class representatives so listed pair relations hold on the nose.
+
+    When <-I, groups[j]> is conjugate to groups[i] by m, replacing groups[j]
+    with its m-conjugate makes the relation literal set equality.
+    """
+    groups = list(groups)
+    pairs = []
+    for i, gi in enumerate(groups):
+        for j, gj in enumerate(groups):
+            if i == j or gi.order % gj.order != 0:
+                continue
+            extended = MatrixGroup.close(gj.generators + (minus_identity(gj.r),), gj.r)
+            witness = are_conjugate(extended, gi)
+            if witness is None:
+                continue
+            groups[j] = gj.conjugate_by(witness)
+            assert plus_minus_related(gi, groups[j])
+            pairs.append((i, j))
+    return groups, tuple(pairs)
+
+
 def _reference_find_gate_groups(r, reference_conjugator=None):
     """The search over every reducible candidate, each with its whole GL2 normalizer."""
     delta = generator(r)
@@ -65,7 +87,7 @@ def _reference_find_gate_groups(r, reference_conjugator=None):
                 bucket.append(cand)
     groups = [g for bucket in found.values() for g in bucket]
     groups.sort(key=lambda g: (-g.order, g.elements))
-    groups, pairs = _normalize_plus_minus(groups)
+    groups, pairs = _kernel_normalize_plus_minus(groups)
     indices = tuple(gl2_order(r) // g.order for g in groups)
     return GateGroupResult(r, tuple(groups), indices, pairs)
 
@@ -157,9 +179,51 @@ def test_only_large_tori_reach_the_split_cartan_normalizer():
                 assert _kernel_normalizer(h_group) == normalizer
 
 
+def test_search_conjugators_match_kernel_witnesses(monkeypatch):
+    """Every conjugacy test of the search gets are_conjugate's GL2 witness from N(C_s)."""
+    conjugator_in = gatefinder._conjugator_in
+    calls = []
+
+    def checked(normalizer, a_group, b_group):
+        got = conjugator_in(normalizer, a_group, b_group)
+        assert got == are_conjugate(a_group, b_group)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(gatefinder, "_conjugator_in", checked)
+    rng = random.Random(47)
+    for r in (5, 7, 11, 13):
+        for conj in (None, random_gl2(rng, r)):
+            find_gate_groups(r, reference_conjugator=conj)
+    # per pass, 10 conjugacy tests at r = 7, 11, 13 (r = 5 has a single
+    # candidate), 6 of them with a witness
+    assert len(calls) == 20 and sum(calls) == 12
+
+
+def _closed_form_divisors(r):
+    """The d | r-1 with d > 2 that give a gate class; 4 | d too when r = 1 (mod 4)."""
+    return [d for d in range(3, r) if (r - 1) % d == 0 and (r % 4 == 3 or d % 4 == 0)]
+
+
+def test_search_matches_closed_form_at_every_modulus():
+    """One class G_d per admissible d, of index r(r^2-1)/d, paired with G_(d/2) as listed."""
+    for r in supported_moduli():
+        result = find_gate_groups(r)
+        torus = [sum(mat_det(x, r) == 1 for x in g) for g in result.groups]
+        assert sorted(torus) == _closed_form_divisors(r)
+        assert list(result.indices) == [r * (r * r - 1) // d for d in torus]
+        pairs = {(torus[i], torus[j]) for i, j in result.plus_minus_pairs}
+        assert len(pairs) == len(result.plus_minus_pairs)
+        assert pairs == {(d, d // 2) for d in torus if r % 4 == 3 and d % 4 == 2}
+        # distinct fingerprints: no two listed classes are GL2-conjugate
+        prints = [g.fingerprint() for g in result.groups]
+        assert len(set(prints)) == len(prints)
+
+
 def test_range_guard():
-    with pytest.raises(RangeExceeded):
-        find_gate_groups(17)
+    for r in (15, 101):
+        with pytest.raises(CompositeModulus):
+            find_gate_groups(r)
 
 
 def test_plus_minus_related_basic():
