@@ -241,9 +241,10 @@ _GATE_EXPECTED = {
     "7": {"classes": 2, "indices": [56, 112], "pm_pairs": [[0, 1]]},
     "11": {"classes": 2, "indices": [132, 264], "pm_pairs": [[0, 1]]},
     "13": {"classes": 2, "indices": [182, 546], "pm_pairs": []},
-    # beyond the GL2 kernel: frozen search output, which fits the closed
-    # form checked in the tests (one class of index r(r^2-1)/d for each
-    # d | r-1 with d > 2, and 4 | d when r = 1 mod 4)
+    # beyond the GL2 kernel: frozen search output, confirmed in the tests
+    # by a walk over every subgroup of N(C_s); it fits the closed form
+    # checked there (one class of index r(r^2-1)/d for each d | r-1 with
+    # d > 2, and 4 | d when r = 1 mod 4)
     "17": {"classes": 3, "indices": [306, 612, 1224], "pm_pairs": []},
     "19": {"classes": 4, "indices": [380, 760, 1140, 2280],
            "pm_pairs": [[0, 1], [2, 3]]},

@@ -215,9 +215,97 @@ def test_search_matches_closed_form_at_every_modulus():
         pairs = {(torus[i], torus[j]) for i, j in result.plus_minus_pairs}
         assert len(pairs) == len(result.plus_minus_pairs)
         assert pairs == {(d, d // 2) for d in torus if r % 4 == 3 and d % 4 == 2}
-        # distinct fingerprints: no two listed classes are GL2-conjugate
+        # |S(G)| = d is a conjugacy invariant and the d above are distinct,
+        # so no two listed classes are GL2-conjugate; the fingerprints,
+        # which hold |S(G)|, differ as well
         prints = [g.fingerprint() for g in result.groups]
         assert len(set(prints)) == len(prints)
+
+
+def _lattice_gate_orbits(r):
+    """Gate groups inside N(C_s), in plain tuples, as their N(C_s)-conjugacy orbits.
+
+    Writing diag(delta^x, delta^y) as (x, y), the subgroups A of the split
+    Cartan C_s are the lattices spanned by (a, b) and (0, c) mod n = r-1,
+    with a, c | n, 0 <= b < c and c | (n/a)b.  A subgroup G of N(C_s) not
+    inside C_s is A u wA with A = G n C_s and w antidiagonal: swapping the
+    axes preserves A, and w^2, the scalar uv for w = (0, u, v, 0), lies in
+    A.  Every such G is tested against the defining predicates directly.
+    Each survivor has S(G) = T_d with d > 2, so any GL2-conjugator between
+    two survivors lies in N(T_d) = N(C_s), and the orbits are the classes.
+    """
+    n = r - 1
+    delta = generator(r)
+    power = [pow(delta, e, r) for e in range(n)]
+    lines = [(1, x) for x in range(r)] + [(0, 1)]
+
+    def det(m):
+        return (m[0] * m[3] - m[1] * m[2]) % r
+
+    def fixes_a_line(elements):
+        return any(all((v[0] * (m[2] * v[0] + m[3] * v[1])
+                        - v[1] * (m[0] * v[0] + m[1] * v[1])) % r == 0
+                       for m in elements) for v in lines)
+
+    antidiagonal = [(0, u, v, 0) for u in range(1, r) for v in range(1, r)]
+    survivors = []
+    for a in (a for a in range(1, n + 1) if n % a == 0):
+        for c in (c for c in range(1, n + 1) if n % c == 0):
+            for b in (b for b in range(c) if (n // a) * b % c == 0):
+                exps = {((i * a) % n, (i * b + j * c) % n)
+                        for i in range(n // a) for j in range(n // c)}
+                if any((y, x) not in exps for x, y in exps):
+                    continue
+                diag = {(power[x], 0, 0, power[y]) for x, y in exps}
+                covered = set()
+                for w in antidiagonal:
+                    uv = w[1] * w[2] % r
+                    if w in covered or (uv, 0, 0, uv) not in diag:
+                        continue
+                    coset = {mat_mul(w, x, r) for x in diag}
+                    covered |= coset
+                    group = diag | coset
+                    sl2 = [m for m in group if det(m) == 1]
+                    if (len(group) < gl2_order(r)
+                            and len({det(m) for m in group}) == r - 1
+                            and any((m[0] + m[3]) % r == 0 and det(m) == r - 1 for m in group)
+                            and not fixes_a_line(group) and fixes_a_line(sl2)):
+                        assert len(sl2) > 2 and all(m[1] == m[2] == 0 for m in sl2)
+                        survivors.append(frozenset(group))
+    moves = [(delta, 0, 0, 1), (1, 0, 0, delta), (0, 1, 1, 0)]
+    orbits = []
+    for group in survivors:
+        if any(group in orbit for orbit in orbits):
+            continue
+        orbit, todo = {group}, [group]
+        while todo:
+            g = todo.pop()
+            for s in moves:
+                si = mat_inv(s, r)
+                h = frozenset(mat_mul(mat_mul(s, x, r), si, r) for x in g)
+                if h not in orbit:
+                    orbit.add(h)
+                    todo.append(h)
+        orbits.append(orbit)
+    return orbits
+
+
+def test_search_matches_lattice_walk_of_split_cartan_normalizer():
+    """Every subgroup of N(C_s) gives the search's classes and ± pairs at the primes 5..37."""
+    for r in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        orbits = _lattice_gate_orbits(r)
+        result = find_gate_groups(r)
+        label = [next(i for i, orbit in enumerate(orbits) if frozenset(g.elements) in orbit)
+                 for g in result.groups]
+        assert sorted(label) == list(range(len(orbits)))
+        neg = minus_identity(r)
+        pairs = set()
+        for i, orbit_i in enumerate(orbits):
+            for j, orbit_j in enumerate(orbits):
+                g = next(iter(orbit_j))
+                if i != j and g | {mat_mul(neg, x, r) for x in g} in orbit_i:
+                    pairs.add((label.index(i), label.index(j)))
+        assert pairs == set(result.plus_minus_pairs)
 
 
 def test_range_guard():
