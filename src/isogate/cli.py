@@ -163,7 +163,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         if args.debug:
             traceback.print_exc()
-        if isinstance(exc, (IsogateError, ValueError, KeyError)):
+        # a path that cannot be read or written is bad input, not a crash
+        if isinstance(exc, (IsogateError, ValueError, KeyError, OSError)):
             print(f"error: {exc}", file=sys.stderr)
         else:
             # a crash is not a claim failure, so it must not exit 1

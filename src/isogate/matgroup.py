@@ -5,15 +5,15 @@ reduced mod r.  The modulus always travels alongside, either as an argument
 or on the owning MatrixGroup.  Groups store their elements sorted
 lexicographically, so iteration order is canonical.
 
-For r <= KERNEL_MAX_R the group operations run on a private integer-indexed
-kernel (_Kernel): the matrix (a, b, c, d) is the integer ((a*r+b)*r+c)*r+d,
-whose order is the lexicographic order of the tuples, and numpy tables and
-multiplication maps over all r^4 codes replace Python-level products.
-Closure there is one primitive, a frontier breadth-first search over a
-boolean mask.  Larger moduli keep the tuple closure; the exhaustive entry
-points (all_gl2, MatrixGroup.full, are_conjugate's witness scan, and
-subgroup_enum.subgroup_classes) refuse them with RangeExceeded before
-allocating anything.
+Explicit groups (closures, normalizers, the gate groups) are closed on
+tuples at every supported r.  Only the exhaustive entry points need all
+r^4 matrices: all_gl2, MatrixGroup.full, are_conjugate's witness scan and
+subgroup_enum.subgroup_classes.  They run on a private integer-indexed
+kernel (_Kernel): the matrix (a, b, c, d) is the integer
+((a*r+b)*r+c)*r+d, whose order is the lexicographic order of the tuples,
+and numpy tables and multiplication maps over all r^4 codes replace
+Python-level products.  They refuse r > KERNEL_MAX_R with RangeExceeded
+before allocating anything.
 """
 
 from __future__ import annotations
@@ -74,6 +74,12 @@ def mat_pow(m: Mat, k: int, r: int) -> Mat:
     return out
 
 
+def _entries(mats) -> np.ndarray:
+    """The entries a, b, c, d of a sequence of matrices, as four int64 arrays."""
+    flat = np.fromiter(chain.from_iterable(mats), dtype=np.int64, count=4 * len(mats))
+    return flat.reshape(-1, 4).T
+
+
 def mat_reduce(m, r: int) -> Mat:
     return tuple(int(x) % r for x in m)
 
@@ -128,15 +134,7 @@ def _require_kernel_range(r: int, what: str) -> None:
 def all_gl2(r: int) -> tuple[Mat, ...]:
     """All invertible matrices mod r, lexicographically sorted."""
     _require_kernel_range(r, "GL2 enumeration")
-    out = []
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                bc = b * c
-                for d in range(r):
-                    if (a * d - bc) % r != 0:
-                        out.append((a, b, c, d))
-    return tuple(out)
+    return _kernel(r).gl_mats
 
 
 def random_gl2(rng, r: int) -> Mat:
@@ -180,7 +178,7 @@ class _Kernel:
         self.gl_digits = tuple(t[self.gl] for t in (a, b, c, d))
         self.gl_inv_digits = tuple(t[self.inv[self.gl]] for t in (a, b, c, d))
         self.ident = self.code(IDENT)
-        self.gl_mats = all_gl2(r)
+        self.gl_mats = tuple(zip(*(t.tolist() for t in self.gl_digits)))
         self._slot = np.empty(self.n, dtype=np.int32)
 
     def _encode(self, a, b, c, d) -> np.ndarray:
@@ -197,10 +195,7 @@ class _Kernel:
         return a, b, c, d
 
     def encode(self, mats) -> np.ndarray:
-        mats = list(mats)
-        flat = np.fromiter(chain.from_iterable(mats), dtype=np.int32, count=4 * len(mats))
-        a, b, c, d = flat.reshape(-1, 4).T
-        return self._encode(a, b, c, d).astype(np.int16)
+        return self._encode(*_entries(mats)).astype(np.int16)
 
     def decode(self, codes) -> list:
         mats = self.gl_mats
@@ -331,7 +326,7 @@ def _kernel_map(r: int, kind: str, code: int) -> np.ndarray:
 
 
 def _closure_tuples(gens, r: int, seen: set) -> set:
-    """Tuple closure for moduli above KERNEL_MAX_R: extend seen by right products."""
+    """Extend seen to its closure under right products by gens."""
     frontier = list(seen)
     while frontier:
         x = frontier.pop()
@@ -349,7 +344,9 @@ class MatrixGroup:
     """A subgroup of GL2(F_r), stored as an explicit element set.
 
     generators always generate the elements; when none are given, the
-    greedy _generating_subset of the elements is taken.
+    greedy _generating_subset of the elements is taken.  Closure, the
+    fingerprint and the generating set work on the tuples at every r; the
+    kernel codes (_code_array) are made only for the exhaustive scans.
     """
 
     __slots__ = ("r", "elements", "generators", "_set", "_fingerprint", "_codes")
@@ -369,16 +366,13 @@ class MatrixGroup:
 
     @classmethod
     def close(cls, generators, r: int) -> "MatrixGroup":
-        """Subgroup generated by the given matrices, by breadth-first closure."""
+        """Subgroup generated by the given matrices, by closure under right products."""
         validate_modulus(r)
         gens = [mat_reduce(g, r) for g in generators]
         for g in gens:
             if mat_det(g, r) == 0:
                 raise NonInvertibleMatrix(f"generator {g} has determinant 0 mod {r}")
-        if r > KERNEL_MAX_R:
-            return cls(r, _closure_tuples(gens, r, {IDENT}), gens)
-        k = _kernel(r)
-        return cls._from_codes(r, k.members(k.closure([k.code(g) for g in gens])), gens)
+        return cls(r, _closure_tuples(gens, r, {IDENT}), gens)
 
     @classmethod
     def _from_codes(cls, r: int, codes: np.ndarray, generators) -> "MatrixGroup":
@@ -425,7 +419,7 @@ class MatrixGroup:
             raise ModulusMismatch(f"moduli differ: {self.r} vs {other.r}")
 
     def _code_array(self) -> np.ndarray:
-        """Kernel codes of the elements, in element order (r <= KERNEL_MAX_R)."""
+        """Kernel codes of the elements, in element order, for the exhaustive scans."""
         if self._codes is None:
             self._codes = _kernel(self.r).encode(self.elements)
         return self._codes
@@ -440,13 +434,8 @@ class MatrixGroup:
         """Conjugation-invariant key: order plus the (trace, det) multiset."""
         if self._fingerprint is None:
             r = self.r
-            if r <= KERNEL_MAX_R:
-                keys = _kernel(r).trace_det[self._code_array()]
-            else:
-                keys = np.fromiter(((a + d) % r * r + (a * d - b * c) % r
-                                    for a, b, c, d in self.elements),
-                                   dtype=np.int64, count=len(self.elements))
-            self._fingerprint = _trace_det_fingerprint(keys, r)
+            a, b, c, d = _entries(self.elements)
+            self._fingerprint = _trace_det_fingerprint((a + d) % r * r + (a * d - b * c) % r, r)
         return self._fingerprint
 
     def determinant_set(self) -> frozenset:
@@ -479,9 +468,6 @@ def _generating_subset(members, r: int):
     Scans the members in lexicographic order and keeps each one the
     generators so far do not already produce.
     """
-    if r <= KERNEL_MAX_R:
-        k = _kernel(r)
-        return tuple(k.decode(k.generating_subset(k.encode(members))))
     target = set(members)
     gens: list[Mat] = []
     seen = {IDENT}

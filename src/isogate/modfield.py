@@ -72,6 +72,34 @@ def epsilon(r: int) -> int:
     raise AssertionError("no non-residue found")  # unreachable for prime r > 2
 
 
+# bits of Serre's three elements (1972, Prop. 19), set per (trace, det)
+SPLIT, NONSPLIT, LARGE_ORDER = 1, 2, 4
+
+
+@lru_cache(maxsize=None)
+def serre_bits(r: int) -> bytes:
+    """Serre's bits of a matrix by its key trace * r + det; det 0 has no bits.
+
+    SPLIT is set when trace != 0 and trace^2 - 4 det is a nonzero square,
+    NONSPLIT when trace != 0 and it is a nonsquare, and LARGE_ORDER when
+    u = trace^2 / det is outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0.
+    """
+    validate_modulus(r)
+    squares = _square_set(r)
+    table = bytearray(r * r)
+    for t in range(r):
+        for d in range(1, r):
+            disc = (t * t - 4 * d) % r
+            u = t * t * pow(d, -1, r) % r
+            bits = 0
+            if t and disc:
+                bits |= SPLIT if disc in squares else NONSPLIT
+            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r:
+                bits |= LARGE_ORDER
+            table[t * r + d] = bits
+    return bytes(table)
+
+
 def element_order(a: int, r: int) -> int:
     """Multiplicative order of the unit a mod r."""
     validate_modulus(r)

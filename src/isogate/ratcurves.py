@@ -26,7 +26,8 @@ from functools import lru_cache
 
 from .errors import (FactorizationIncomplete, InsufficientSamples,
                      PoleAtParameter, SingularCurve, Undecided, ZeroParameter)
-from .modfield import generates_units, validate_modulus, _square_set
+from .modfield import (LARGE_ORDER, NONSPLIT, SPLIT, generates_units, serre_bits,
+                       validate_modulus)
 from .pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
 
 Rational = Fraction | int
@@ -582,52 +583,41 @@ class _CriteriaFold:
     test, or "the determinants generate"), so folding in more pairs can
     only turn flags on."""
 
-    __slots__ = ("r", "nonsquare", "square", "excluder", "units", "dets")
+    __slots__ = ("r", "bits", "units", "dets")
 
     def __init__(self, r: int):
         self.r = validate_modulus(r)
-        self.nonsquare = self.square = self.excluder = self.units = False
+        self.bits = 0  # Serre's bits (modfield.serre_bits) seen so far
+        self.units = False
         self.dets: set[int] = set()
 
     def update(self, pairs) -> None:
         """Fold the pairs in, in one pass."""
         r = self.r
-        squares = _square_set(r)
-        nonsquare, square, excluder = self.nonsquare, self.square, self.excluder
-        dets = self.dets
+        table = serre_bits(r)
+        bits, dets = self.bits, self.dets
         seen = len(dets)
         for trace, det in pairs:
-            trace %= r
             det %= r
-            if det == 0:
-                continue
-            dets.add(det)
-            if trace == 0:
-                continue
-            disc = (trace * trace - 4 * det) % r
-            if disc != 0:
-                if disc in squares:
-                    square = True
-                else:
-                    nonsquare = True
-            u = trace * trace * pow(det, -1, r) % r
-            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r != 0:
-                excluder = True
-        self.nonsquare, self.square, self.excluder = nonsquare, square, excluder
+            if det:
+                dets.add(det)
+                bits |= table[trace % r * r + det]
+        self.bits = bits
         if len(dets) != seen and not self.units:
             self.units = generates_units(dets, r)
 
     @property
     def certified(self) -> bool:
-        return self.nonsquare and self.square and self.units and self.excluder
+        return self.bits == SPLIT | NONSPLIT | LARGE_ORDER and self.units
 
     @property
     def criteria(self) -> tuple[tuple[str, bool], ...]:
+        bits = self.bits
         return (
-            ("nonsquare_frobenius_disc", self.nonsquare),
-            ("square_frobenius_disc", self.square),
+            ("nonsquare_frobenius_disc", bool(bits & NONSPLIT)),
+            ("square_frobenius_disc", bool(bits & SPLIT)),
             ("determinants_generate", self.units),
-            ("projective_order_above_5", self.excluder),
+            ("projective_order_above_5", bool(bits & LARGE_ORDER)),
         )
 
 

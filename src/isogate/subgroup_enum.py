@@ -48,7 +48,7 @@ import numpy as np
 
 from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, mat_mul, _kernel,
                        _require_kernel_range, _trace_det_fingerprint)
-from .modfield import element_order
+from .modfield import LARGE_ORDER, NONSPLIT, SPLIT, element_order, serre_bits
 
 
 def _dickson_bound(r: int) -> int:
@@ -66,39 +66,25 @@ def _dickson_bound(r: int) -> int:
     return max(orders)
 
 
-# bits of Serre's three elements (1972, Prop. 19), set per (trace, det)
-_SPLIT, _NONSPLIT, _LARGE_ORDER = 1, 2, 4
-_ALL_THREE = _SPLIT | _NONSPLIT | _LARGE_ORDER
+_ALL_THREE = SPLIT | NONSPLIT | LARGE_ORDER
 
 
 @lru_cache(maxsize=None)
 def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
-    """Serre's bits by trace-det key (tr * r + det), and the same per kernel code.
+    """Serre's bits by trace-det key (modfield.serre_bits), and the same per kernel code.
 
-    A matrix sets _SPLIT when tr != 0 and tr^2 - 4 det is a nonzero square,
-    _NONSPLIT when tr != 0 and tr^2 - 4 det is a nonsquare, and _LARGE_ORDER
-    when u = tr^2 / det is outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0, so
-    its image in PGL2 has order neither 1, 2, 3, 4, 5 nor r.  For r >= 5 a
+    A matrix with the LARGE_ORDER bit has u = tr^2 / det outside
+    {0, 1, 2, 4} and u^2 - 3u + 1 != 0, so its image in PGL2 has order
+    neither 1, 2, 3, 4, 5 nor r.  For r >= 5 a
     subgroup holding all three contains SL2: the Borel and the normalizer
-    of the split Cartan have no _NONSPLIT element, the normalizer of the
-    nonsplit Cartan no _SPLIT one (off the Cartan the trace is 0), and the
-    A4, S4 and A5 preimages no _LARGE_ORDER one.
+    of the split Cartan have no NONSPLIT element, the normalizer of the
+    nonsplit Cartan no SPLIT one (off the Cartan the trace is 0), and the
+    A4, S4 and A5 preimages no LARGE_ORDER one.
     """
-    squares = {x * x % r for x in range(1, r)}
-    by_key = bytearray(r * r)  # det 0 keeps no bits
-    for t in range(r):
-        for d in range(1, r):
-            disc = (t * t - 4 * d) % r
-            u = t * t * pow(d, -1, r) % r
-            bits = 0
-            if t and disc:
-                bits |= _SPLIT if disc in squares else _NONSPLIT
-            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r:
-                bits |= _LARGE_ORDER
-            by_key[t * r + d] = bits
-    by_code = np.frombuffer(bytes(by_key), dtype=np.uint8)[_kernel(r).trace_det]
+    by_key = serre_bits(r)
+    by_code = np.frombuffer(by_key, dtype=np.uint8)[_kernel(r).trace_det]
     by_code.flags.writeable = False
-    return bytes(by_key), by_code
+    return by_key, by_code
 
 
 def _word_bits(gens, r: int, by_key: bytes) -> int:
@@ -300,7 +286,7 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         fresh = [g for g in prev_classes if g not in older]
         pool: dict = {}
         for g in prev_classes:
-            pool.setdefault(g.fingerprint(), []).append(g)
+            pool.setdefault(_trace_det_fingerprint(k.trace_det[g._code_array()], r), []).append(g)
         # codes of the closures already settled: the known classes, then
         # every closure under B(r) met at this level
         handled = {g._code_array().tobytes() for g in prev_classes}

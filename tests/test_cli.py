@@ -157,6 +157,17 @@ def _assert_input_error(capsys, argv):
     assert "unexpected" not in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "disc-7", "--config", "{missing}/config.json"],
+    ["verify", "--claim", "disc-7", "--json", "{missing}/report.json"],
+    ["search", "gate-groups", "--r", "5", "--json", "{missing}/gate.json"],
+])
+def test_bad_paths_are_input_errors(tmp_path, capsys, argv):
+    # a file that cannot be read or written is bad input, not a crash
+    missing = tmp_path / "missing"
+    _assert_input_error(capsys, [arg.format(missing=missing) for arg in argv])
+
+
 @pytest.mark.parametrize("j", ["5/0", "1/0^3"])
 def test_curves_disc_class_rejects_zero_divisor(capsys, j):
     # bad input, not a crash

@@ -1,3 +1,5 @@
+import io
+import itertools
 import random
 from collections import Counter
 
@@ -11,7 +13,8 @@ from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
                               format_matrix, gl2_order, is_applicable,
                               is_scalar, mat_det, mat_inv, mat_mul, mat_pow,
                               mat_trace, minus_identity, parse_matrix,
-                              random_gl2, sl2_order, _generating_subset, _kernel)
+                              random_gl2, sl2_order, _generating_subset, _kernel,
+                              _trace_det_fingerprint)
 from isogate.stdgroups import (borel, nonsplit_cartan,
                                nonsplit_cartan_normalizer, split_cartan,
                                split_cartan_normalizer)
@@ -275,8 +278,10 @@ def test_kernel_closure_matches_reference(case, cap):
             assert capped is None
         else:
             assert k.decode(k.members(capped)) == sorted(expected)
-    assert _generating_subset(group.elements, r) == \
-        _reference_generating_subset(group.elements, r)
+    expected_gens = _reference_generating_subset(group.elements, r)
+    assert _generating_subset(group.elements, r) == expected_gens
+    # the kernel's own greedy generators, which _normalizer_generators uses
+    assert tuple(k.decode(k.generating_subset(k.encode(group.elements)))) == expected_gens
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,8 +306,8 @@ def test_kernel_fingerprint_matches_dict_count(case):
     counts = Counter((mat_trace(m, r), mat_det(m, r)) for m in group.elements)
     expected = (group.order, tuple(sorted(counts.items())))
     assert group.fingerprint() == expected
-    # a group built from tuples, not from kernel codes, agrees too
-    assert MatrixGroup(r, group.elements).fingerprint() == expected
+    # the form subgroup_enum reads from kernel codes agrees too
+    assert _trace_det_fingerprint(_kernel(r).trace_det[group._code_array()], r) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,9 +334,11 @@ def test_generators_close_to_elements_standard_groups():
 
 
 def test_kernel_tables():
-    for r in (5, 13):
+    for r in (3, 5, 7, 13):
         k = _kernel(r)
-        gl = all_gl2(r)
+        # a plain enumeration, independent of the kernel's own gl_mats
+        gl = [m for m in itertools.product(range(r), repeat=4) if mat_det(m, r)]
+        assert all_gl2(r) == tuple(gl) == k.gl_mats
         assert k.decode(k.gl) == list(gl)
         assert k.encode(gl).tolist() == k.gl.tolist()
         sample = gl[:: max(1, len(gl) // 200)]
@@ -356,3 +363,14 @@ def test_exhaustive_entry_points_refuse_large_moduli():
     assert g.sl2_part().order == 32
     with pytest.raises(RangeExceeded):
         are_conjugate(g, g)
+
+
+def test_registry_builds_one_gl2_kernel():
+    # explicit groups close on tuples; only exc-family's are_conjugate at
+    # r = 5 needs the r^4 kernel
+    from isogate import claims
+    _kernel.cache_clear()
+    assert all(rep.status == "pass" for rep in claims.run_all(stream=io.StringIO()))
+    assert _kernel.cache_info().currsize == 1
+    _kernel(5)  # a hit: the one kernel built is the one at r = 5
+    assert _kernel.cache_info().currsize == 1

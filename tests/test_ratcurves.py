@@ -20,6 +20,7 @@ from isogate.ratcurves import (CurveModel, _cubic_shape, _factor_positive,
                                surjectivity_certificates, two_division_cubic,
                                two_torsion_family_j, has_rational_two_torsion)
 from isogate.modcurve import image_bound, named_curve
+from isogate.modfield import generates_units
 from isogate.stdgroups import octahedral_group_mod5, standard_group
 from isogate.subgroup_enum import subgroup_classes
 
@@ -525,3 +526,43 @@ def test_first_three_criteria_alone_are_insufficient():
     assert flags["square_frobenius_disc"]
     assert flags["determinants_generate"]
     assert not flags["projective_order_above_5"]
+
+
+def _reference_criteria(pairs, r):
+    # the four criteria restated pair by pair, with no table of Serre's bits
+    squares = {x * x % r for x in range(1, r)}
+    nonsquare = square = excluder = False
+    dets = set()
+    for trace, det in pairs:
+        trace %= r
+        det %= r
+        if det == 0:
+            continue
+        dets.add(det)
+        if trace == 0:
+            continue
+        disc = (trace * trace - 4 * det) % r
+        if disc != 0:
+            if disc in squares:
+                square = True
+            else:
+                nonsquare = True
+        u = trace * trace * pow(det, -1, r) % r
+        if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % r != 0:
+            excluder = True
+    return (
+        ("nonsquare_frobenius_disc", nonsquare),
+        ("square_frobenius_disc", square),
+        ("determinants_generate", generates_units(dets, r)),
+        ("projective_order_above_5", excluder),
+    )
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+def test_criteria_match_reference_per_pair(r):
+    for t in range(r):
+        for d in range(1, r):
+            assert certificate_criteria([(t, d)], r) == _reference_criteria([(t, d)], r), (t, d)
+    # negative traces and unreduced determinants fold in as their residues
+    pairs = [(-3, r + 2), (r + 1, -1), (0, 0), (2 * r - 1, 3)]
+    assert certificate_criteria(pairs, r) == _reference_criteria(pairs, r)
