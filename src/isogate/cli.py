@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -35,12 +36,30 @@ def _load_config(args) -> Config:
     return Config()
 
 
+def _check_output_path(path) -> None:
+    """Refuse a --json path that cannot be written, before any work starts.
+
+    The file itself is neither created nor truncated here; that happens
+    only when the report is written.
+    """
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--json {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--json {path}: is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(f"--json {path}: not writable")
+
+
 def _cmd_verify(args) -> int:
     if args.all and (args.claim or args.r):
         given = "--claim" if args.claim else "--r"
         print(f"verify --all takes no {given}: it runs every claim at its "
               f"default moduli", file=sys.stderr)
         return 2
+    _check_output_path(args.json)
     config = _load_config(args)
     if args.all:
         reports = run_all(args.json, config=config)
@@ -61,6 +80,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_output_path(args.json)
     result = find_gate_groups(args.r)
     payload = {
         "r": result.r,

@@ -156,8 +156,8 @@ class _Kernel:
     entries of each m in gl and of m^-1.  Right multiplication maps (left
     products follow from them and inv) and the map m -> m g m^-1 over gl
     are built per generator and kept in one small LRU cache (_kernel_map),
-    so the maps of a subgroup's generators are reused while those of
-    one-off candidates are dropped.
+    so the maps of a subgroup's generators are reused.  subgroup_enum
+    closes its candidates through r^2-entry row tables, not these maps.
     """
 
     def __init__(self, r: int):
@@ -236,14 +236,12 @@ class _Kernel:
 
     # group algorithms
 
-    def closure(self, gen_codes, cap=None, seen=None, stop=None):
+    def closure(self, gen_codes, cap=None, seen=None):
         """Mask of the subgroup generated by gen_codes; None once its size passes cap.
 
         Breadth-first search by right multiplication, one frontier at a
         time.  With seen given, the search starts from every code in it
-        (and updates it in place).  With stop = (table, goal), a uint8
-        table over codes and a bit mask, the search returns False as soon
-        as the table's bits over the new codes have covered goal.
+        (and updates it in place).
         """
         maps = [self.right_map(g) for g in gen_codes]
         if seen is None:
@@ -251,8 +249,6 @@ class _Kernel:
             seen[self.ident] = True
         if not maps:
             return seen
-        if stop is not None:
-            table, goal = stop
         frontier = np.flatnonzero(seen)
         size = len(frontier)
         while len(frontier):
@@ -265,10 +261,6 @@ class _Kernel:
             order = np.arange(len(step), dtype=np.int32)
             self._slot[step] = order
             frontier = step[self._slot[step] == order]
-            if stop is not None:
-                goal &= ~int(np.bitwise_or.reduce(table[frontier]))
-                if not goal:
-                    return False
             size += len(frontier)
             if cap is not None and size > cap:
                 return None

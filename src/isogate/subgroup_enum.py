@@ -13,7 +13,15 @@ inverse), x -> xh (h in the subgroup) and conjugation by the subgroup's
 normalizer; x -> hx is (x^-1 h^-1)^-1, so it adds nothing.  One closure
 per orbit of those moves suffices.  The power moves are read from one
 table per r (_cyclic_generator_table), which sends each element to the
-least generator of the cyclic group it generates.
+least generator of the cyclic group it generates.  Conjugating by a scalar
+fixes x, and by h in H is hx followed by x -> xh^-1, so the conjugation
+moves are greedy generators of N(H) taken modulo H Z (_normalizer_moves).
+
+All candidates of one subgroup H are closed together (_closures_capped):
+each has its own row of codes, seeded with H, whose first frontier is
+H x; one breadth-first walk per batch of rows multiplies every frontier
+by H's generators and the row's x through per-matrix row tables, with no
+r^4 map per candidate.
 
 Each closure stops as soon as it is known to contain SL2.  By Dickson's
 classification (Serre 1972, section 2), a proper subgroup of GL2(F_r),
@@ -21,14 +29,14 @@ r >= 5, that does not contain SL2 lies in the Borel (order r(r-1)^2), the
 normalizer of the split or of the nonsplit Cartan (2(r-1)^2, 2(r^2-1)), a
 preimage of A4 or S4 (at most 24(r-1)), or, when r = +-1 mod 5, of A5
 (60(r-1)).  Serre's Prop. 19 reads membership off three elements, one
-leaving each kind (_serre_tables); they are looked for among the
-generators and their pairwise products, then on each frontier of the
-closure.  Where they do not all turn up (SL2(F_5) has none of the third
-kind), the closure stops once it is larger than the largest group on the
-list, B(r).  A closure that contains SL2 is {m : det m in D} with D the
-group the generators' determinants generate: GL2 when D is all of F_r^*,
-and otherwise read from the kernel's trace-det table with no search,
-once per (r, |D|).  B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
+leaving each kind (_serre_tables); they are looked for among H's
+elements, then on each frontier of the closure.  Where they do not all
+turn up (SL2(F_5) has none of the third kind), the closure stops once it
+is larger than the largest group on the list, B(r).  A closure that
+contains SL2 is {m : det m in D} with D the group the generators'
+determinants generate: GL2 when D is all of F_r^*, and otherwise read
+from the kernel's trace-det table with no search, once per (r, |D|).
+B(5) = 96; for r = 7, 11, 13 it is the Borel's order.
 
 Candidates stay sorted kernel codes through the fingerprint and the
 conjugacy scan against their bucket; a MatrixGroup is built only for a
@@ -46,7 +54,7 @@ from math import lcm
 
 import numpy as np
 
-from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, mat_mul, _kernel,
+from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel,
                        _require_kernel_range, _trace_det_fingerprint)
 from .modfield import LARGE_ORDER, NONSPLIT, SPLIT, element_order, serre_bits
 
@@ -87,36 +95,90 @@ def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
     return by_key, by_code
 
 
-def _word_bits(gens, r: int, by_key: bytes) -> int:
-    """Serre's bits over the generators and their pairwise products."""
-    words = list(gens)
-    words += [mat_mul(g, h, r) for i, g in enumerate(gens) for h in gens[i + 1:]]
-    bits = 0
-    for a, b, c, d in words:
-        bits |= by_key[(a + d) % r * r + (a * d - b * c) % r]
-    return bits
+# codes per batch of the candidate walk: a batch holds as many rows of r^4
+# codes as fit, so its seen mask stays near this size at every r
+_BATCH_CODES = 1 << 18
 
 
-def _closure_capped(gens, r: int, cap: int):
-    """Close the generators; None once the size passes cap.
+def _row_tables(mats, r: int) -> np.ndarray:
+    """Row (a, b) times each matrix, with the row p = a r + b: shape (len(mats), r^2).
 
-    Returns the sorted kernel codes of the closure, or, for r >= 5, False
-    as soon as Serre's three elements turn up, first among the generators
-    and their pairwise products, then on each frontier of the search: the
-    closure contains SL2.
+    A product's rows are its left factor's rows times the right factor, so
+    x g for a code x = p r^2 + q is T[p] r^2 + T[q].
+    """
+    e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.int32).reshape(-1, 4).T)
+    a, b = np.divmod(np.arange(r * r, dtype=np.int32), r)
+    return (a * e + b * g) % r * r + (a * f + b * h) % r
+
+
+def _closures_capped(group: MatrixGroup, xs, r: int, cap: int) -> list:
+    """<group, x> for each candidate x, in one breadth-first walk per batch.
+
+    Each candidate has a row of r^4 codes, seeded with the group's codes;
+    its first frontier is group * x, and every later one is the last
+    frontier times the group's generators and x, deduplicated over
+    (row, code).  Per candidate the result is the sorted kernel codes of
+    the closure, or, for r >= 5, False as soon as Serre's three elements
+    have turned up, first among the group's codes, then on a frontier (the
+    closure contains SL2), or None once the size passes cap.  On each
+    frontier the Serre stop is checked before the cap.
     """
     k = _kernel(r)
-    stop = None
+    h_codes = group._code_array().astype(np.int32)
+    goal, stop = _ALL_THREE, None
     if r >= 5:
-        by_key, by_code = _serre_tables(r)
-        goal = _ALL_THREE & ~_word_bits(gens, r, by_key)
+        stop = _serre_tables(r)[1]
+        goal &= ~int(np.bitwise_or.reduce(stop[h_codes]))
         if not goal:
-            return False
-        stop = (by_code, goal)
-    seen = k.closure([k.code(g) for g in gens], cap, stop=stop)
-    if seen is None or seen is False:
-        return seen
-    return k.members(seen)
+            return [False] * len(xs)
+    h_tables = _row_tables([g for g in group.generators if g != IDENT], r)
+    rows = max(1, _BATCH_CODES // k.n)
+    out: list = []
+    for start in range(0, len(xs), rows):
+        out += _walk_batch(k, h_codes, h_tables, xs[start:start + rows], goal, stop, cap)
+    return out
+
+
+def _walk_batch(k, h_codes, h_tables, xs, goal: int, stop, cap: int) -> list:
+    """One batch of _closures_capped; row i lives on the codes i r^4 + code."""
+    n, r2, m = k.n, k.r * k.r, len(xs)
+    x_table = _row_tables(xs, k.r).ravel()
+    seen = np.zeros(m * n, dtype=bool)
+    seen[(np.arange(m, dtype=np.int32)[:, None] * n + h_codes).ravel()] = True
+    size = np.full(m, len(h_codes))
+    goals = np.full(m, goal, dtype=np.uint8)
+    live = np.ones(m, dtype=bool)
+    closed = np.zeros(m, dtype=bool)  # rows that end with no new codes
+    member = np.repeat(np.arange(m, dtype=np.int32), len(h_codes))
+    codes = np.tile(h_codes, m)
+    tables = []  # the first frontier is group * x alone
+    while live.any():
+        row_base, x_rows = member * n, member * r2
+        high, low = np.divmod(codes, r2)
+        parts = [row_base + t[high] * r2 + t[low] for t in tables]
+        parts.append(row_base + x_table[x_rows + high] * r2 + x_table[x_rows + low])
+        step = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        tables = h_tables
+        frontier = np.unique(step[~seen[step]])
+        member = frontier // n
+        codes = frontier - member * n
+        counts = np.bincount(member, minlength=m)
+        if stop is not None:
+            bits = np.zeros(m, dtype=np.uint8)
+            np.bitwise_or.at(bits, member, stop[codes])
+            goals &= ~bits
+        size += counts
+        ended = live & ((counts == 0) | (goals == 0) | (size > cap))
+        if ended.any():
+            closed |= ended & (counts == 0) & (size <= cap)
+            live &= ~ended
+            keep = live[member]
+            frontier, member, codes = frontier[keep], member[keep], codes[keep]
+        seen[frontier] = True
+    # a row that ended on a frontier is a Serre stop if its goal is covered,
+    # and otherwise passed cap
+    return [k.members(seen[i * n:(i + 1) * n]) if closed[i] else (None if goals[i] else False)
+            for i in range(m)]
 
 
 @lru_cache(maxsize=None)
@@ -140,10 +202,33 @@ def _det_preimage(gens, r: int):
     return None if n == r - 1 else _det_group_preimage(r, n)
 
 
-def _normalizer_generators(group: MatrixGroup) -> tuple[Mat, ...]:
-    k = _kernel(group.r)
-    norm = k.gl[k.conjugators([k.code(g) for g in group.generators], group._code_array())]
-    return tuple(k.decode(k.generating_subset(norm)))
+def _normalizer_moves(group: MatrixGroup) -> list[int]:
+    """Codes of greedy generators of N(H) modulo H Z, Z the scalars.
+
+    Conjugating a candidate by a scalar fixes it, and by h in H is the
+    inverse move, a right move by h^-1, the inverse again and a right move
+    by h^-1 (x -> x^-1 h^-1 -> h x -> h x h^-1); so with the right and
+    power moves, these conjugators reach every N(H)-conjugate.  The greedy walk starts from H Z and repeatedly adds
+    the least element of N(H) not yet generated.
+    """
+    r = group.r
+    k = _kernel(r)
+    hgens = [k.code(g) for g in group.generators if g != IDENT]
+    h_codes = group._code_array()
+    norm = k.mask(k.gl[k.conjugators(hgens, h_codes)])
+    # H Z, from the int16 digits of H's elements times each scalar
+    a, b, c, d = (t[k.gl_index[h_codes], None] for t in k.gl_digits)
+    s = np.arange(1, r, dtype=np.int16)
+    seen = k.mask(k._encode(a * s, b * s, c * s, d * s))
+    moves: list[int] = []
+    while True:
+        rest = np.flatnonzero(norm & ~seen)
+        if not len(rest):
+            return moves
+        moves.append(int(rest[0]))
+        seen[rest[0]] = True
+        # seen holds H Z, so its closure under <H, moves> is <H, Z, moves>
+        k.closure(hgens + moves, seen=seen)
 
 
 def _times(u, v, r: int):
@@ -206,11 +291,10 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     k = _kernel(r)
     gl, pos = k.gl, k.gl_index
     hgens = [k.code(g) for g in group.generators if g != IDENT]
-    ngens = [k.code(z) for z in _normalizer_generators(group)]
     moves = []
     for h in hgens:
         moves.append(k.right_map(h)[gl])
-    for z in ngens:
+    for z in _normalizer_moves(group):
         rz = k.right_map(k.inv[z])
         moves.append(rz[k.inv[rz[k.inv[gl]]]])  # x^-1 z^-1, then z x, then z x z^-1
     perms = []
@@ -292,10 +376,10 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         handled = {g._code_array().tobytes() for g in prev_classes}
         funnel = dict.fromkeys(FUNNEL_STEPS, 0)
         for h_group in fresh:
-            for x in _candidate_orbit_reps(h_group):
+            xs = _candidate_orbit_reps(h_group)
+            for x, codes in zip(xs, _closures_capped(h_group, xs, r, cap)):
                 funnel["candidates"] += 1
                 gens = h_group.generators + (x,)
-                codes = _closure_capped(gens, r, cap)
                 if codes is None or codes is False:  # the closure contains SL2
                     route = "sl2_by_cap" if codes is None else "sl2_by_words"
                     preimage = _det_preimage(gens, r)

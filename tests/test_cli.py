@@ -168,6 +168,41 @@ def test_bad_paths_are_input_errors(tmp_path, capsys, argv):
     _assert_input_error(capsys, [arg.format(missing=missing) for arg in argv])
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "gate-groups", "--r", "97", "--json", "{missing}/x.json"],
+    ["search", "gate-groups", "--r", "5", "--json", "{folder}"],
+    ["verify", "--all", "--json", "{missing}/report.json"],
+    ["verify", "--claim", "gate-search", "--json", "{missing}/report.json"],
+])
+def test_bad_json_path_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # a missing directory or a directory as the file is refused up front,
+    # not after the whole search or registry has run
+    from isogate import cli
+
+    monkeypatch.setattr(cli, "find_gate_groups", lambda *a, **kw: pytest.fail("ran the search"))
+    monkeypatch.setattr(cli, "run_all", lambda *a, **kw: pytest.fail("ran the registry"))
+    monkeypatch.setattr(cli, "run_claim", lambda *a, **kw: pytest.fail("ran a claim"))
+    missing = tmp_path / "missing"
+    _assert_input_error(capsys, [arg.format(missing=missing, folder=tmp_path) for arg in argv])
+    assert not missing.exists()
+
+
+def test_good_json_path_is_written_only_after_the_work(tmp_path, capsys, monkeypatch):
+    # the up-front check neither creates nor truncates the report
+    from isogate import cli
+
+    def _fail(r):
+        raise ValueError("search failed")
+
+    out = tmp_path / "gate.json"
+    monkeypatch.setattr(cli, "find_gate_groups", _fail)
+    _assert_input_error(capsys, ["search", "gate-groups", "--r", "5", "--json", str(out)])
+    assert not out.exists()
+    out.write_text("kept\n")
+    _assert_input_error(capsys, ["search", "gate-groups", "--r", "5", "--json", str(out)])
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("j", ["5/0", "1/0^3"])
 def test_curves_disc_class_rejects_zero_divisor(capsys, j):
     # bad input, not a crash

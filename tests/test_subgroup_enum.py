@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
@@ -19,11 +19,12 @@ from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group_mod5, octahedral_group_mod13,
                                split_cartan_normalizer)
-from isogate.subgroup_enum import (FUNNEL_STEPS, _candidate_orbit_reps,
-                                   _closure_capped, _cyclic_generator_table,
-                                   _det_preimage, _dickson_bound,
-                                   _normalizer_generators, _serre_tables,
-                                   class_counts, subgroup_classes)
+from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
+                                   _candidate_orbit_reps, _closures_capped,
+                                   _cyclic_generator_table, _det_preimage,
+                                   _dickson_bound, _normalizer_moves,
+                                   _serre_tables, class_counts,
+                                   subgroup_classes)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -151,7 +152,10 @@ def test_orbit_reps_match_reference_minima(r, picks):
     if group.order == len(gl) or group.order > 96:
         group = MatrixGroup.close([gl[picks[0] % len(gl)]], r)
     assert _candidate_orbit_reps(group) == _reference_orbit_minima(group)
-    norm = MatrixGroup.close(_normalizer_generators(group), r)
+    # the moves are taken modulo H Z: with H and the scalars they give N(H)
+    scalars = [(s, 0, 0, s) for s in range(1, r)]
+    moves = _kernel(r).decode(_normalizer_moves(group))
+    norm = MatrixGroup.close(list(group.generators) + scalars + moves, r)
     assert norm.elements == tuple(_reference_normalizer(group))
 
 
@@ -264,31 +268,52 @@ def test_extension_step_matches_lagrange_capped_reference(r, k):
 
 # ---- SL2 from Serre's three elements ----
 
-def _level_candidates(r, level):
-    """Every generator tuple the extension step closes to build one level."""
+def _level_parents(r, level):
+    """Each subgroup the extension step extends to build one level, with its candidates."""
     def classes(n):
         return subgroup_classes(r, n).classes if n else (MatrixGroup.close([], r),)
     older = classes(level - 2) if level >= 2 else ()
     for h_group in (g for g in classes(level - 1) if g not in older):
-        for x in _candidate_orbit_reps(h_group):
+        yield h_group, _candidate_orbit_reps(h_group)
+
+
+def _level_candidates(r, level):
+    """Every generator tuple the extension step closes to build one level."""
+    for h_group, xs in _level_parents(r, level):
+        for x in xs:
             yield h_group.generators + (x,)
+
+
+def _assert_matches_plain_closures(h_group, xs, r, cap):
+    """Each batched result against its own kernel closure; returns the Serre exits."""
+    kernel = _kernel(r)
+    got = _closures_capped(h_group, xs, r, cap)
+    assert len(got) == len(xs)
+    exits = 0
+    for x, codes in zip(xs, got):
+        gens = h_group.generators + (x,)
+        plain = kernel.closure([kernel.code(g) for g in gens], cap)
+        if codes is None or codes is False:
+            exits += codes is False
+            assert plain is None, gens
+        else:
+            assert plain is not None and codes.tolist() == kernel.members(plain).tolist(), gens
+            assert codes.dtype == np.int16
+    return exits
 
 
 @pytest.mark.parametrize("r, k", ((5, 3), (7, 3), (11, 2)))
 def test_serre_exits_pass_the_dickson_bound(r, k):
-    kernel, bound = _kernel(r), _dickson_bound(r)
-    exits = 0
-    for gens in (g for level in range(1, k + 1) for g in _level_candidates(r, level)):
-        got = _closure_capped(gens, r, bound)
-        plain = kernel.closure([kernel.code(g) for g in gens], bound)
-        if got is False:
-            exits += 1
-            assert plain is None, gens
-        elif got is None:
-            assert plain is None, gens
-        else:
-            assert plain is not None and got.tolist() == kernel.members(plain).tolist()
+    bound = _dickson_bound(r)
+    exits = sum(_assert_matches_plain_closures(h_group, xs, r, bound)
+                for level in range(1, k + 1) for h_group, xs in _level_parents(r, level))
     assert exits > 0
+
+
+def _closed_parent(gens, r):
+    kernel = _kernel(r)
+    codes = kernel.members(kernel.closure([kernel.code(g) for g in gens]))
+    return MatrixGroup._from_codes(r, codes, gens)
 
 
 @settings(max_examples=30, deadline=None)
@@ -296,8 +321,26 @@ def test_serre_exits_pass_the_dickson_bound(r, k):
 def test_serre_exit_implies_sl2(r, picks):
     gl = all_gl2(r)
     gens = [gl[i % len(gl)] for i in picks]
-    if _closure_capped(gens, r, gl2_order(r)) is False:
+    if _closures_capped(_closed_parent(gens[:-1], r), gens[-1:], r, gl2_order(r))[0] is False:
         assert MatrixGroup.close(gens, r).sl2_part().order == sl2_order(r)
+
+
+# rows per batch of the candidate walk at r = 13
+_ROWS_13 = _BATCH_CODES // 13 ** 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 13)),
+       st.lists(st.integers(0, 26207), min_size=1, max_size=2),
+       st.lists(st.integers(0, 26207), min_size=1, max_size=6))
+@example(13, [5], list(range(0, 26207, 26207 // (_ROWS_13 + 2)))[:_ROWS_13 + 2])
+def test_batched_closures_match_plain_closures(r, parent, picks):
+    # random parents and candidates, inside the parent or not; the example
+    # at r = 13 holds more candidates than one batch
+    gl = all_gl2(r)
+    h_group = _closed_parent([gl[i % len(gl)] for i in parent], r)
+    xs = [gl[i % len(gl)] for i in picks]
+    _assert_matches_plain_closures(h_group, xs, r, _dickson_bound(r))
 
 
 @pytest.mark.parametrize("r", (5, 7, 11, 13))
