@@ -156,8 +156,10 @@ class _Kernel:
     entries of each m in gl and of m^-1.  Right multiplication maps (left
     products follow from them and inv) and the map m -> m g m^-1 over gl
     are built per generator and kept in one small LRU cache (_kernel_map),
-    so the maps of a subgroup's generators are reused.  subgroup_enum
-    closes its candidates through r^2-entry row tables, not these maps.
+    so the maps of a subgroup's generators are reused.  A right map is
+    the r^2-entry row table of its generator (_row_tables) expanded over
+    all codes; subgroup_enum closes its candidates through the row tables
+    themselves, not these maps.
     """
 
     def __init__(self, r: int):
@@ -281,23 +283,6 @@ class _Kernel:
             found = found[target[self.conjugates_at(g, found)]]
         return found
 
-    def generating_subset(self, member_codes) -> list:
-        """Greedy generators: repeatedly add the least member not yet generated."""
-        target = self.mask(member_codes)
-        total = int(target.sum())
-        seen = self.mask(self.ident)
-        gens: list = []
-        while True:
-            rest = np.flatnonzero(target & ~seen)
-            if not len(rest):
-                break
-            gens.append(int(rest[0]))
-            seen[rest[0]] = True
-            self.closure(gens, seen=seen)
-            if int(seen.sum()) == total:
-                break
-        return gens
-
 
 @lru_cache(maxsize=None)
 def _kernel(r: int) -> _Kernel:
@@ -311,10 +296,19 @@ def _kernel_map(r: int, kind: str, code: int) -> np.ndarray:
     k = _kernel(r)
     if kind == "C":
         return k.conjugates_at(code, slice(None))
-    e, f, g, h = k.digits(code)
-    p, q = np.divmod(np.arange(r * r, dtype=np.int32), r)
-    row = (e * p + g * q) % r * r + (f * p + h * q) % r
+    row = _row_tables([k.digits(code)], r)[0]
     return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
+
+
+def _row_tables(mats, r: int) -> np.ndarray:
+    """Row (a, b) times each matrix, with the row p = a r + b: shape (len(mats), r^2).
+
+    A product's rows are its left factor's rows times the right factor, so
+    x g for a code x = p r^2 + q is T[p] r^2 + T[q].
+    """
+    e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.int32).reshape(-1, 4).T)
+    a, b = np.divmod(np.arange(r * r, dtype=np.int32), r)
+    return (a * e + b * g) % r * r + (a * f + b * h) % r
 
 
 def _closure_tuples(gens, r: int, seen: set) -> set:

@@ -55,7 +55,7 @@ from math import lcm
 import numpy as np
 
 from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel,
-                       _require_kernel_range, _trace_det_fingerprint)
+                       _require_kernel_range, _row_tables, _trace_det_fingerprint)
 from .modfield import LARGE_ORDER, NONSPLIT, SPLIT, element_order, serre_bits
 
 
@@ -98,17 +98,6 @@ def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
 # codes per batch of the candidate walk: a batch holds as many rows of r^4
 # codes as fit, so its seen mask stays near this size at every r
 _BATCH_CODES = 1 << 18
-
-
-def _row_tables(mats, r: int) -> np.ndarray:
-    """Row (a, b) times each matrix, with the row p = a r + b: shape (len(mats), r^2).
-
-    A product's rows are its left factor's rows times the right factor, so
-    x g for a code x = p r^2 + q is T[p] r^2 + T[q].
-    """
-    e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.int32).reshape(-1, 4).T)
-    a, b = np.divmod(np.arange(r * r, dtype=np.int32), r)
-    return (a * e + b * g) % r * r + (a * f + b * h) % r
 
 
 def _closures_capped(group: MatrixGroup, xs, r: int, cap: int) -> list:

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from isogate import gatefinder
+from isogate import cli, gatefinder
 from isogate.errors import CompositeModulus
 from isogate.gatefinder import (GateGroupResult, _verify_gate_group,
                                 find_gate_groups, plus_minus_related)
@@ -195,9 +196,9 @@ def test_search_conjugators_match_kernel_witnesses(monkeypatch):
     for r in (5, 7, 11, 13):
         for conj in (None, random_gl2(rng, r)):
             find_gate_groups(r, reference_conjugator=conj)
-    # per pass, 10 conjugacy tests at r = 7, 11, 13 (r = 5 has a single
-    # candidate), 6 of them with a witness
-    assert len(calls) == 20 and sum(calls) == 12
+    # per pass, one witness for each ± pair, (G_6, G_3) at r = 7 and
+    # (G_10, G_5) at r = 11; r = 5 and 13 have none
+    assert len(calls) == 4 and all(calls)
 
 
 def _closed_form_divisors(r):
@@ -220,6 +221,75 @@ def test_search_matches_closed_form_at_every_modulus():
         # which hold |S(G)|, differ as well
         prints = [g.fingerprint() for g in result.groups]
         assert len(set(prints)) == len(prints)
+
+
+def test_every_extender_gives_the_constructed_class_or_a_reducible_group():
+    """The construction's lemma, for every d | r-1 with d > 2 at the primes up to 37.
+
+    An antidiagonal extender g = (0, x, y, 0) of determinant delta is moved
+    onto g* = (0, 1, -delta, 0) by diag(1, x), which centralizes T_d; a
+    diagonal one leaves the axes fixed.  The search lists exactly the G_d
+    that pass the predicates, up to the move of each G_j with G_i = <G_j, -I>.
+    """
+    for r in (p for p in supported_moduli() if p <= 37):
+        delta = generator(r)
+        g_star = (0, 1, r - delta, 0)
+        result = find_gate_groups(r)
+        moved_by_pairs = {j for _, j in result.plus_minus_pairs}
+        built = set()
+        for d in range(3, r):
+            if (r - 1) % d:
+                continue
+            t = pow(delta, (r - 1) // d, r)
+            torus = (t, 0, 0, pow(t, -1, r))
+            g_d = MatrixGroup.close([torus, g_star], r)
+            if _verify_gate_group(g_d, r):
+                built.add(g_d.elements)
+            for x in range(1, r):
+                y = -delta * pow(x, -1, r) % r
+                moved = MatrixGroup.close([torus, (0, x, y, 0)], r).conjugate_by((1, 0, 0, x))
+                assert moved == g_d
+                diagonal = MatrixGroup.close([torus, (x, 0, 0, delta * pow(x, -1, r) % r)], r)
+                assert set(fixed_lines(diagonal)) >= {(1, 0), (0, 1)}
+        assert len(built) == len(result.groups)
+        assert {g.elements for j, g in enumerate(result.groups) if j not in moved_by_pairs} <= built
+
+
+# sha256 of the `search gate-groups --r R --json` file at every supported prime
+_SEARCH_JSON_SHA256 = {
+    3: "9283571c9aa96c5fb2a35359f3d3a6e2cb940772810202098b85b435119352df",
+    5: "5bdf699cb164311186e0fbc29fc5b8e897b55c19150ae85b9db4a6a9c875b775",
+    7: "0ab4fc2d4874c35fc3e5e5e7ff2f45d99c64523b469b4671b44aecab7ca4dd85",
+    11: "34692d23f22bc4e0b0ffbfcc3925d9d1eea485e4a93fe765e9bf9a2ab8646f02",
+    13: "5a497b0a384e917d00463e0f8308eda8c51cdb65853bc988d6c4e5b614fe1a17",
+    17: "ad0dae17fc6c9b4cd4d5fcfdf48367b53293cd821d23441c233ded7d713b209a",
+    19: "fde6aa387da4a14c180e8ef6a1996fe2b208f0fdfae59501894a2e65938b6e2c",
+    23: "81df5137eb0cba6ca20005d1c9ce93bd870f42bf96193ee70edab14450fdf39a",
+    29: "bcdfbbb92a6c546e3f818773ee3e8742a2d86eea1264ce608eb310ab4e4402d5",
+    31: "ba16c568ce5d3d8cf7e78bbee08e3047a5c6102cb4e35b4a730c2c5ea0f7f5b9",
+    37: "2d8906a0d6bad3600432f949cb1b834bc443c9f63e8f797c94353a2adb7689ca",
+    41: "77453d21a62df270e40aba313eecba0029a57df5d20d34e5e27a1104a6c597c9",
+    43: "5487cdcc9ec4bc853f32deaaf0ca9d334d56dba29a4dd25b3babc10b0ecfd0f6",
+    47: "13fea0c39bc4d4c5be79ea99e1a89005179325f3f0a224ec397ea385c911c5cc",
+    53: "caa5ba52844816af566a7b4a6ac992cb5a3832fb758e7336f5a8c70564eedf88",
+    59: "6e45175ba62d76cb1194af3136c83c69b129d02127c53b733d84acbd7f8bf8d4",
+    61: "a8bad08c1f95bf80ba29e5928ecf8c388d22d7e7e9638d149826788ee8691017",
+    67: "d839f6a196bdb2dd3fdc49677e0acdbc1dffeb4000add08be1c0b62e20bec718",
+    71: "2ad43d7797dd0085b756fdeaa0fb20567fe99f8e5ea54973040b84851f4dc962",
+    73: "9be62d6d2bba096b775a129c5166a172d5b6c02cc4a93cb93f7e8620da7dd339",
+    79: "904622f1c5444dedae99640677024c367bb6f7d8cb596a16f8ec79eb74daf19f",
+    83: "8b4aa77d8dc960ad3003e963e251937c4121ed87ae8271b3d93d05da5e4633d0",
+    89: "393eb433ed30f889e2c4aa6254d83d065a51684051fe3adb46a6e84b59b15715",
+    97: "e63b4b61c748975be29099db46cd51cc750bb02ba4e3585eabef029fe11c4e0f",
+}
+
+
+def test_search_json_is_frozen_at_every_modulus(tmp_path):
+    assert sorted(_SEARCH_JSON_SHA256) == list(supported_moduli())
+    for r, want in _SEARCH_JSON_SHA256.items():
+        out = tmp_path / f"gate{r}.json"
+        assert cli.main(["search", "gate-groups", "--r", str(r), "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, r
 
 
 def _lattice_gate_orbits(r):

@@ -279,8 +279,6 @@ def test_kernel_closure_matches_reference(case, cap):
             assert k.decode(k.members(capped)) == sorted(expected)
     expected_gens = _reference_generating_subset(group.elements, r)
     assert _generating_subset(group.elements, r) == expected_gens
-    # the kernel's own greedy generators
-    assert tuple(k.decode(k.generating_subset(k.encode(group.elements)))) == expected_gens
 
 
 @settings(max_examples=40, deadline=None)
