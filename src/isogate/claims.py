@@ -585,7 +585,7 @@ def _claim_g7_orbits(config: Config, moduli) -> tuple[dict, dict]:
         "orbit_count": 7,
         "orbit_sizes": [24] * 7,
     }
-    group = standard_group("g7_13", 13)
+    group = standard_group("octahedral", 13)
     sl2 = group.sl2_part()
     dec = orbits(sl2)
     computed = {
@@ -611,7 +611,7 @@ def _claim_full2(config: Config, moduli) -> tuple[dict, dict]:
 
 def _claim_g95_s4(config: Config, moduli) -> tuple[dict, dict]:
     expected = {"order": 96, "projective_order": 24, "projective_kind": "S4"}
-    group = standard_group("g95_5", 5)
+    group = standard_group("octahedral", 5)
     image = projective_image(group)
     computed = {
         "order": group.order,

@@ -118,7 +118,7 @@ def _cmd_disc_class(args) -> int:
 def _cmd_torsion_bound(args) -> int:
     curve = named_curve(args.curve)
     report = torsion_bound_cyclotomic(curve, args.r)
-    print(f"{report.curve_label} over the {report.r}th cyclotomic field")
+    print(f"{report.curve_label} over Q(zeta_{report.r})")
     for q, n in zip(report.primes, report.counts):
         print(f"  q={q}: {n} points")
     print(f"gcd bound: {report.gcd_bound}")
@@ -185,7 +185,9 @@ def main(argv=None) -> int:
             traceback.print_exc()
         # a path that cannot be read or written is bad input, not a crash
         if isinstance(exc, (IsogateError, ValueError, KeyError, OSError)):
-            print(f"error: {exc}", file=sys.stderr)
+            # str() of a KeyError quotes its message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
         else:
             # a crash is not a claim failure, so it must not exit 1
             hint = "" if args.debug else " (rerun with --debug for the traceback)"

@@ -21,10 +21,6 @@ class NonInvertibleMatrix(IsogateError):
     """Matrix has determinant 0 modulo the working prime."""
 
 
-class KindModulusMismatch(IsogateError):
-    """Requested a fixed standard group at the wrong modulus."""
-
-
 class CongruenceViolation(IsogateError):
     """Modulus fails the congruence condition the construction needs."""
 

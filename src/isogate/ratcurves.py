@@ -44,10 +44,11 @@ def parse_rational_expr(text: str) -> Fraction:
     """Parse 'n', 'n/d', or factored forms like '-17*373^3/2^17'.
 
     Grammar: optional leading minus, then integer atoms with optional
-    '^exponent', combined left-to-right by '*' and '/'.  Unicode minus
-    signs and superscripts are normalized away first.  An atom, numerator
-    or denominator above 2^256 raises ValueError, a large power before it
-    is computed.
+    '^exponent', combined left-to-right by '*' and '/'.  The Unicode minus
+    sign is read as '-'; any other character outside ASCII digits, '^', '*'
+    and '/' (a superscript or a non-ASCII digit, say) raises ValueError.  An
+    atom, numerator or denominator above 2^256 raises ValueError, a large
+    power before it is computed.
     """
     s = text.strip().replace("−", "-").replace(" ", "")
     if not s:
@@ -86,10 +87,10 @@ def _tokenize_factors(s: str):
             yield token
             yield ch
             token = ""
-        elif ch.isdigit() or ch == "^":
+        elif ch in "0123456789^":
             token += ch
         else:
-            raise ValueError(f"unexpected character {ch!r} in rational expression")
+            raise ValueError(f"invalid character {ch!r} in rational expression")
     if not token:
         raise ValueError(f"trailing operator in {s!r}")
     yield token

@@ -2,14 +2,14 @@
 
 Every family here is built twice over: once element-by-element from its
 closed-form description, and once by closing a small natural generating
-set.  verify_membership_formula checks the two agree.  The two fixed
-exceptional groups (tags g7_13 and g95_5) only have generators, so they
-are excluded from that check.
+set.  verify_membership_formula checks the two agree.  The exception is
+the octahedral group, the preimage of a projective S4 at every r: it is
+built only from three generators, whose relations prove its order.
 """
 
 from functools import lru_cache
 
-from .errors import CongruenceViolation, KindModulusMismatch
+from .errors import CongruenceViolation
 from .matgroup import Mat, MatrixGroup, mat_mul, mat_pow
 from .modfield import epsilon, generator, validate_modulus, _cube_set
 
@@ -119,22 +119,29 @@ def cube_ratio_cartan(r: int) -> MatrixGroup:
     return MatrixGroup(r, elements, ((g, 0, 0, g), (g3, 0, 0, 1), (0, 1, 1, 0)))
 
 
-_OCT13_GENS: tuple[Mat, ...] = ((2, 0, 0, 2), (2, 0, 0, 3), (0, 12, 1, 0), (1, 1, 12, 1))
-_OCT5_GENS: tuple[Mat, ...] = ((2, 0, 0, 1), (1, 0, 0, 2), (0, 4, 1, 0), (1, 1, 1, 4))
+def octahedral_group(r: int) -> MatrixGroup:
+    """The preimage in GL2(F_r) of a projective S4: <delta I, b, c>, order 24(r - 1).
 
-
-def octahedral_group_mod13(r: int = 13) -> MatrixGroup:
-    """Fixed order-288 subgroup of GL2(F_13) with octahedral projective image."""
-    if r != 13:
-        raise KindModulusMismatch(f"this group lives in GL2(F_13), got r = {r}")
-    return MatrixGroup.close(_OCT13_GENS, 13)
-
-
-def octahedral_group_mod5(r: int = 5) -> MatrixGroup:
-    """Fixed order-96 subgroup of GL2(F_5) with octahedral projective image."""
-    if r != 5:
-        raise KindModulusMismatch(f"this group lives in GL2(F_5), got r = {r}")
-    return MatrixGroup.close(_OCT5_GENS, 5)
+    delta = generator(r).  A non-scalar m has projective order 2, 3 or 4
+    when u = tr(m)^2 / det(m) is 0, 1 or 2.
+    - c = (1, 1, -1, 1) has u = 4/2 = 2: projective order 4.
+    - b = (p, q, q - 1, 1 - p), (p, q) the lexicographically first solution
+      of p^2 - p + q^2 - q + 1 = 0 (mod r), has trace 1 and det 1: projective
+      order 3 (at r = 3 it is unipotent).  Times 4 the conic reads
+      (2p - 1)^2 + (2q - 1)^2 = -2, and every element of F_r is a sum of two
+      squares, so it has a point mod every odd prime.
+    - bc = (p - q, p + q, p + q - 2, q - p) has trace 0: projective order 2.
+    So <b, c> maps onto a quotient of the (2, 3, 4) triangle group, S4, that
+    has an element of order 4; the others (S3, C2, 1) have none, so the
+    image is S4.  With the scalars it is the full preimage; at r = 3 that is
+    GL2(F_3).
+    """
+    validate_modulus(r)
+    p, q = next((p, q) for p in range(r) for q in range(r)
+                if (p * p - p + q * q - q + 1) % r == 0)
+    delta = generator(r)
+    b = (p, q, (q - 1) % r, (1 - p) % r)
+    return MatrixGroup.close(((delta, 0, 0, delta), b, (1, 1, r - 1, 1)), r)
 
 
 # ---- registry ----
@@ -146,8 +153,7 @@ _BUILDERS = {
     "nonsplit_cartan": nonsplit_cartan,
     "nonsplit_cartan_normalizer": nonsplit_cartan_normalizer,
     "g3": nonsplit_cartan_cubes_extended,
-    "g7_13": octahedral_group_mod13,
-    "g95_5": octahedral_group_mod5,
+    "octahedral": octahedral_group,
     "cube_split": cube_ratio_cartan,
 }
 
@@ -156,8 +162,6 @@ _ALIASES = {
     "cs+": "split_cartan_normalizer",
     "cns": "nonsplit_cartan",
     "cns+": "nonsplit_cartan_normalizer",
-    "g7": "g7_13",
-    "g95": "g95_5",
     "cube": "cube_split",
 }
 
@@ -184,24 +188,14 @@ ORDER_FORMULAS = {
     "nonsplit_cartan_normalizer": lambda r: 2 * (r * r - 1),
     "g3": lambda r: 2 * (r * r - 1) // 3 if r != 3 else 2 * (r * r - 1),
     "cube_split": lambda r: 2 * (r - 1) ** 2 // 3,
-    "g7_13": lambda r: 288,
-    "g95_5": lambda r: 96,
-}
-
-SL2_ORDER_FORMULAS = {
-    "borel": lambda r: r * (r - 1),
-    "split_cartan": lambda r: r - 1,
-    "split_cartan_normalizer": lambda r: 2 * (r - 1),
-    "nonsplit_cartan": lambda r: r + 1,
-    "nonsplit_cartan_normalizer": lambda r: 2 * (r + 1),
-    "g3": lambda r: 2 * (r + 1) // 3,  # valid for r = 2 (mod 3)
+    "octahedral": lambda r: 24 * (r - 1),
 }
 
 
 def verify_membership_formula(kind: str, r: int) -> bool:
     """Check the generator closure equals the element-by-element set."""
     name = resolve_kind(kind)
-    if name in ("g7_13", "g95_5"):
+    if name == "octahedral":
         raise ValueError(f"{name} has no closed-form membership description")
     built = _BUILDERS[name](r)
     closed = MatrixGroup.close(built.generators, r)

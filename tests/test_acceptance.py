@@ -14,8 +14,8 @@ from isogate.ratcurves import (certificate_criteria, disc_square_class_of_j,
                                parse_rational_expr, two_division_cubic,
                                two_torsion_family_j)
 from isogate.stdgroups import (cube_ratio_cartan, nonsplit_cartan_cubes_extended,
-                               nonsplit_cartan_normalizer, octahedral_group_mod5,
-                               octahedral_group_mod13, split_cartan_normalizer)
+                               nonsplit_cartan_normalizer, octahedral_group,
+                               split_cartan_normalizer)
 from isogate.subgroup_enum import subgroup_classes
 
 _ODD_PRIMES_37 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -106,7 +106,7 @@ def test_criterion_05_cube_split_lines():
 
 
 def test_criterion_06_order288_orbits():
-    group = octahedral_group_mod13()
+    group = octahedral_group(13)
     assert group.order == 288
     part = group.sl2_part()
     decomposition = orbits(part)
@@ -115,7 +115,7 @@ def test_criterion_06_order288_orbits():
 
 
 def test_criterion_07_octahedral_projective_image():
-    image = projective_image(octahedral_group_mod5())
+    image = projective_image(octahedral_group(5))
     assert (image.order, image.kind) == (24, "S4")
 
 

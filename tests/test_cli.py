@@ -216,6 +216,12 @@ def test_curves_disc_class_rejects_j_past_2_256(capsys, j):
     _assert_input_error(capsys, ["curves", "disc-class", f"--j={j}"])
 
 
+@pytest.mark.parametrize("j", ["\u0663", "2\u00b3"])
+def test_curves_disc_class_rejects_non_ascii_digits(capsys, j):
+    # an Arabic-Indic three is not read as 3, and a superscript is not an exponent
+    _assert_input_error(capsys, ["curves", "disc-class", f"--j={j}"])
+
+
 def test_torsion_bound_command(capsys):
     assert main(["torsion-bound", "--curve", "X0(14)", "--r", "7"]) == 0
     out = capsys.readouterr().out
@@ -226,7 +232,14 @@ def test_torsion_bound_command(capsys):
 
 def test_torsion_bound_unknown_curve(capsys):
     assert main(["torsion-bound", "--curve", "X0(15)", "--r", "7"]) == 2
-    assert "unknown curve" in capsys.readouterr().err
+    # the message itself, not the quoted str() of a KeyError
+    assert capsys.readouterr().err.startswith("error: unknown curve")
+
+
+@pytest.mark.parametrize("r", [3, 7, 23, 31])
+def test_torsion_bound_header(capsys, r):
+    assert main(["torsion-bound", "--curve", "X0(11)", "--r", str(r)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"X0(11) over Q(zeta_{r})"
 
 
 @pytest.mark.parametrize("raw", [

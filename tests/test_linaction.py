@@ -11,15 +11,15 @@ from isogate.subgroup_enum import subgroup_classes
 from isogate.stdgroups import (borel, nonsplit_cartan,
                                nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer,
-                               octahedral_group_mod5, octahedral_group_mod13,
-                               split_cartan, split_cartan_normalizer)
+                               octahedral_group, split_cartan,
+                               split_cartan_normalizer)
 
 _GROUPS = [borel(5), borel(7), split_cartan(5), split_cartan(7),
            split_cartan_normalizer(5), split_cartan_normalizer(7),
            nonsplit_cartan(5), nonsplit_cartan(13),
            nonsplit_cartan_normalizer(5), nonsplit_cartan_normalizer(13),
            nonsplit_cartan_cubes_extended(5), nonsplit_cartan_cubes_extended(11),
-           octahedral_group_mod5(), octahedral_group_mod13()]
+           octahedral_group(5), octahedral_group(13)]
 
 
 def test_partition_bullet():
@@ -148,11 +148,11 @@ def _is_s4_presentation(perms):
 
 
 def test_projective_s4_bullet():
-    img = projective_image(octahedral_group_mod5())
+    img = projective_image(octahedral_group(5))
     assert (img.order, img.kind) == (24, "S4")
     assert sum(1 for p in img.permutations if _perm_order(p) == 2) == 9
     assert _is_s4_presentation(img.permutations)
-    img13 = projective_image(octahedral_group_mod13())
+    img13 = projective_image(octahedral_group(13))
     assert (img13.order, img13.kind) == (24, "S4")
     assert _is_s4_presentation(img13.permutations)
 

@@ -20,8 +20,8 @@ from isogate.ratcurves import (CurveModel, _cubic_shape, _factor_positive,
                                surjectivity_certificates, two_division_cubic,
                                two_torsion_family_j, has_rational_two_torsion)
 from isogate.modcurve import image_bound, named_curve
-from isogate.modfield import generates_units
-from isogate.stdgroups import octahedral_group_mod5, standard_group
+from isogate.modfield import generates_units, is_square
+from isogate.stdgroups import octahedral_group, standard_group
 from isogate.subgroup_enum import subgroup_classes
 
 
@@ -44,7 +44,9 @@ def test_parse_rational_expr_errors():
     for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3",
                 # an atom, numerator or denominator above 2^256
                 "2^257", "2^99999999", "3^162", "9" * 78, "2^200*2^57", "1/2^256/2",
-                "1/3^100*3^200"):
+                "1/3^100*3^200",
+                # only ASCII digits: not an Arabic-Indic three, not a superscript
+                "\u0663", "2\u00b3"):
         with pytest.raises(ValueError):
             parse_rational_expr(bad)
 
@@ -521,11 +523,23 @@ def test_first_three_criteria_alone_are_insufficient():
     # the order-96 octahedral group is proper in GL2(F_5) yet satisfies the
     # first three criteria; the projective-order criterion is what rejects
     # it, which is why certification requires all four
-    flags = dict(certificate_criteria(_group_pairs(octahedral_group_mod5()), 5))
+    flags = dict(certificate_criteria(_group_pairs(octahedral_group(5)), 5))
     assert flags["nonsquare_frobenius_disc"]
     assert flags["square_frobenius_disc"]
     assert flags["determinants_generate"]
     assert not flags["projective_order_above_5"]
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+def test_octahedral_preimages_fail_the_criteria(r):
+    # the S4 preimage is a proper subgroup at every r >= 5, so no certificate
+    # may pass on it: its elements have projective order at most 4, and its
+    # determinants generate <delta^2, 2> (det c = 2, det b = 1), all of F_r^*
+    # exactly when 2 is a nonsquare, that is when r = +-3 (mod 8)
+    flags = dict(certificate_criteria(_group_pairs(octahedral_group(r)), r))
+    assert not flags["projective_order_above_5"]
+    assert flags["determinants_generate"] == (not is_square(2, r))
+    assert flags["determinants_generate"] == (r % 8 not in (1, 7))
 
 
 def _reference_criteria(pairs, r):

@@ -1,25 +1,28 @@
 import pytest
 
-from isogate.errors import CongruenceViolation, KindModulusMismatch
+from isogate.errors import CongruenceViolation
+from isogate.linaction import projective_image
 from isogate.matgroup import MatrixGroup, are_conjugate, is_applicable
 from isogate.modfield import supported_moduli
-from isogate.stdgroups import (KINDS, ORDER_FORMULAS, SL2_ORDER_FORMULAS,
+from isogate.stdgroups import (KINDS, ORDER_FORMULAS,
                                borel, cube_ratio_cartan,
                                nonsplit_cartan, nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer,
-                               octahedral_group_mod5, octahedral_group_mod13,
-                               resolve_kind, split_cartan,
+                               octahedral_group, resolve_kind, split_cartan,
                                split_cartan_normalizer, standard_group,
                                verify_membership_formula)
 
 _SWEEP = tuple(r for r in supported_moduli() if r <= 37)
 
+# hand-picked generators of an octahedral group at one modulus each, the
+# reference the general construction is conjugated onto
+_OCTAHEDRAL_TABLES = {
+    5: ((2, 0, 0, 1), (1, 0, 0, 2), (0, 4, 1, 0), (1, 1, 1, 4)),
+    13: ((2, 0, 0, 2), (2, 0, 0, 3), (0, 12, 1, 0), (1, 1, 12, 1)),
+}
+
 
 def _valid_moduli(kind):
-    if kind == "g7_13":
-        return (13,)
-    if kind == "g95_5":
-        return (5,)
     if kind == "cube_split":
         return tuple(r for r in _SWEEP if r % 3 == 1)
     return _SWEEP
@@ -28,8 +31,8 @@ def _valid_moduli(kind):
 def test_examples():
     assert nonsplit_cartan_normalizer(7).order == 96
     assert nonsplit_cartan_cubes_extended(5).order == 16
-    assert octahedral_group_mod13().order == 288
-    assert octahedral_group_mod5().order == 96
+    assert octahedral_group(13).order == 288
+    assert octahedral_group(5).order == 96
     assert borel(5).order == 80
 
 
@@ -79,21 +82,19 @@ def test_membership_formula():
     assert verify_membership_formula("split_cartan_normalizer", 7)
     assert verify_membership_formula("g3", 11)
     for kind in KINDS:
-        if kind in ("g7_13", "g95_5"):
+        if kind == "octahedral":
             continue
         for r in (5, 7, 13):
             if kind == "cube_split" and r % 3 != 1:
                 continue
             assert verify_membership_formula(kind, r), (kind, r)
     with pytest.raises(ValueError):
-        verify_membership_formula("g7", 13)
+        verify_membership_formula("octahedral", 13)
 
 
 def test_kind_resolution():
     assert resolve_kind("cns+") == "nonsplit_cartan_normalizer"
     assert resolve_kind("cs") == "split_cartan"
-    assert resolve_kind("g7") == "g7_13"
-    assert resolve_kind("g95") == "g95_5"
     assert resolve_kind("cube") == "cube_split"
     assert resolve_kind("borel") == "borel"
     with pytest.raises(KeyError):
@@ -101,12 +102,28 @@ def test_kind_resolution():
 
 
 def test_kind_errors():
-    with pytest.raises(KindModulusMismatch):
-        octahedral_group_mod13(7)
-    with pytest.raises(KindModulusMismatch):
-        octahedral_group_mod5(13)
     with pytest.raises(CongruenceViolation):
         cube_ratio_cartan(5)
+
+
+def test_octahedral_order_at_every_supported_prime():
+    for r in supported_moduli():
+        assert octahedral_group(r).order == 24 * (r - 1), r
+    # PGL2(F_3) is S4 itself
+    assert octahedral_group(3) == MatrixGroup.full(3)
+
+
+def test_octahedral_projective_image_is_s4():
+    for r in _SWEEP:
+        if r >= 5:
+            image = projective_image(octahedral_group(r))
+            assert (image.order, image.kind) == (24, "S4"), r
+
+
+@pytest.mark.parametrize("r", sorted(_OCTAHEDRAL_TABLES))
+def test_octahedral_group_is_conjugate_to_the_tables(r):
+    table = MatrixGroup.close(_OCTAHEDRAL_TABLES[r], r)
+    assert are_conjugate(octahedral_group(r), table) is not None
 
 
 def test_nonsplit_shape():

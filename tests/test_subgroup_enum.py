@@ -17,8 +17,7 @@ from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
                               is_scalar, mat_det, mat_inv, mat_mul, mat_trace,
                               sl2_order)
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
-                               octahedral_group_mod5, octahedral_group_mod13,
-                               split_cartan_normalizer)
+                               octahedral_group, split_cartan_normalizer)
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
@@ -209,10 +208,7 @@ def test_level_one_matches_cyclic_reference(r):
 @pytest.mark.parametrize("r", (5, 7, 11, 13))
 def test_dickson_bound_covers_the_maximal_subgroups(r):
     orders = [borel(r).order, split_cartan_normalizer(r).order,
-              nonsplit_cartan_normalizer(r).order]
-    octahedral = {5: octahedral_group_mod5, 13: octahedral_group_mod13}.get(r)
-    if octahedral is not None:
-        orders.append(octahedral().order)
+              nonsplit_cartan_normalizer(r).order, octahedral_group(r).order]
     assert max(orders) <= _dickson_bound(r) < sl2_order(r)
 
 
@@ -346,9 +342,8 @@ def test_batched_closures_match_plain_closures(r, parent, picks):
 @pytest.mark.parametrize("r", (5, 7, 11, 13))
 def test_serre_tables_miss_each_maximal_subgroup(r):
     by_key, by_code = _serre_tables(r)
-    octahedral = {5: octahedral_group_mod5, 13: octahedral_group_mod13}.get(r)
-    groups = [borel(r), split_cartan_normalizer(r), nonsplit_cartan_normalizer(r)]
-    groups += [octahedral()] if octahedral is not None else []
+    groups = [borel(r), split_cartan_normalizer(r), nonsplit_cartan_normalizer(r),
+              octahedral_group(r)]
     for group in groups:
         bits = 0
         for m in group.elements:
