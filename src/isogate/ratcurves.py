@@ -46,9 +46,10 @@ def parse_rational_expr(text: str) -> Fraction:
     Grammar: optional leading minus, then integer atoms with optional
     '^exponent', combined left-to-right by '*' and '/'.  The Unicode minus
     sign is read as '-'; any other character outside ASCII digits, '^', '*'
-    and '/' (a superscript or a non-ASCII digit, say) raises ValueError.  An
-    atom, numerator or denominator above 2^256 raises ValueError, a large
-    power before it is computed.
+    and '/' (a superscript or a non-ASCII digit, say) raises ValueError, and
+    so does an atom that is not digits or digits^digits ('2^', '^3',
+    '2^3^4').  An atom, numerator or denominator above 2^256 raises
+    ValueError, a large power before it is computed.
     """
     s = text.strip().replace("−", "-").replace(" ", "")
     if not s:
@@ -63,6 +64,9 @@ def parse_rational_expr(text: str) -> Fraction:
             op = piece
             continue
         base_s, caret, exp_s = piece.partition("^")
+        # the tokenizer passes only ASCII digits and '^', so isdigit is exact
+        if not base_s.isdigit() or caret and not exp_s.isdigit():
+            raise ValueError(f"malformed factor {piece!r} in {text!r}: want digits or digits^digits")
         base, exp = int(base_s), int(exp_s) if caret else 1
         # base >= 2^(bits - 1), so this refuses only powers above the limit
         if base > 1 and (base.bit_length() - 1) * exp > _EXPR_LIMIT_BITS:
@@ -147,7 +151,7 @@ def _brent_rho(n: int, c: int, max_iters: int):
             steps = min(batch, cycle - k)
             for _ in range(steps):
                 y = (y * y + c) % n
-                q_acc = q_acc * abs(x - y) % n
+                q_acc = q_acc * (x - y) % n
             g = math.gcd(q_acc, n)
             k += steps
             iters += steps

@@ -222,6 +222,14 @@ def test_curves_disc_class_rejects_non_ascii_digits(capsys, j):
     _assert_input_error(capsys, ["curves", "disc-class", f"--j={j}"])
 
 
+@pytest.mark.parametrize("j", ["2^", "^3", "2^3^4"])
+def test_curves_disc_class_names_a_malformed_factor(capsys, j):
+    # the parser's own message, naming the atom, and not int()'s "invalid literal"
+    assert main(["curves", "disc-class", f"--j={j}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed factor {j!r}") and "invalid literal" not in err
+
+
 def test_torsion_bound_command(capsys):
     assert main(["torsion-bound", "--curve", "X0(14)", "--r", "7"]) == 0
     out = capsys.readouterr().out

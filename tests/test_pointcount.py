@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +47,24 @@ def test_matches_euler_criterion_at_every_odd_prime_to_2000():
         assert count_by_x_scan(b2, b4, b6, q) == _euler_count(b2, b4, b6, q), (b2, b4, b6, q)
 
 
+def test_every_form_at_the_smallest_odd_primes():
+    # every (b2, b4, b6) mod q: the 3-value count at q = 3, and every shift
+    # s = b2 / 12 of the depressed cubic at q = 5, 7, 11
+    for q in (3, 5, 7, 11):
+        for b2 in range(q):
+            for b4 in range(q):
+                for b6 in range(q):
+                    count = count_by_x_scan(b2, b4, b6, q)
+                    # a Python int: a numpy scalar leaks into the a_q and the JSON reports
+                    assert type(count) is int and count == _euler_count(b2, b4, b6, q), \
+                        (b2, b4, b6, q)
+
+
+def test_refuses_the_prime_2():
+    with pytest.raises(ValueError, match="odd prime"):
+        count_by_x_scan(1, 0, 1, 2)
+
+
 def test_singular_and_degenerate_cubics():
     for q in (3, 5, 7, 101):
         # v = 4x^3 vanishes once and is a square exactly when x is
@@ -59,8 +82,10 @@ def test_matches_square_table_kernel_at_a_large_prime():
 
 
 def test_matches_square_table_kernel_at_block_edges():
-    # the scan walks x in blocks of 2^16: one partial block, one full block,
-    # a full block plus one element, and two blocks less one element
+    # a scan streams (q + 1) / 2 squares, then q values: one block below
+    # 2^16 (q = 65,521 is 98,282 entries), and blocks of 2^16 above, where
+    # the last squares share a block with the first values (q = 65,537) and
+    # q = 131,071 is three blocks less one element
     rng = random.Random(65536)
     for q in (3, 5, 65_521, 65_537, 131_071):
         cases = [(0, 0, 1), (1, 0, 0)]
@@ -78,6 +103,15 @@ def test_largest_horner_value_stays_in_int64():
     assert (4 * top + top) * top * top + top * top + top < 2 ** 63
     for b2, b4, b6 in ((top, top // 2, top), (-1, top // 2 - 10 ** 20 * q, top + 7 * q)):
         assert (b2 % q, 2 * b4 % q, b6 % q) == (top, top, top)
+        assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q)
+    # the depressed cubic 4t^3 + a t + b has its largest Horner value
+    # (4 t^2 + a) t + b at a = b = t = q - 1; with b2 = 0 the shift is 0, and
+    # with b2 = 12 s the form is 4t^3 + a t + b moved by x = t - s
+    assert (4 * top * top + top) * top + top < 2 ** 63
+    for s in (0, 1, 12345):
+        b2, c4 = 12 * s % q, (top + 12 * s * s) % q
+        b6 = (top + s * (c4 - s * (b2 - 4 * s))) % q
+        b4 = c4 * pow(2, -1, q) % q
         assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q)
 
 
@@ -103,3 +137,28 @@ def test_quadratic_twist_counts_sum_to_2q_plus_2(q, b2, b4, b6, d):
         d = (d or 1) * least_nonsquare % q
     twisted = count_by_x_scan(d * b2, d * d * b4, d ** 3 * b6, q)
     assert count_by_x_scan(b2, b4, b6, q) + twisted == 2 * q + 2
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_GUARD_SCRIPT = """
+import gc, json, tracemalloc
+import numpy as np
+from isogate.pointcount import count_by_x_scan, primes_upto
+tracemalloc.start()
+for q in primes_upto(419)[1:]:
+    count_by_x_scan(1, -2, 3, q)
+gc.collect()
+live = tracemalloc.take_snapshot().filter_traces(
+    [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+print(json.dumps([t.size for t in live.traces]))
+"""
+
+
+def test_shared_blocks_stay_within_the_largest_scan():
+    # verify --all scans primes up to 419 only; every numpy block the scans
+    # leave alive must be sized to that (512 int64 entries), not to 2^16
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _GUARD_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    sizes = json.loads(out.stdout)
+    assert sizes and max(sizes) <= 8 * 512, sizes

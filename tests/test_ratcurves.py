@@ -7,7 +7,7 @@ import pytest
 from isogate.errors import (InsufficientSamples, SingularCurve, Undecided,
                             ZeroParameter)
 from isogate.matgroup import mat_det, mat_trace
-from isogate.ratcurves import (CurveModel, _cubic_shape, _factor_positive,
+from isogate.ratcurves import (CurveModel, _brent_rho, _cubic_shape, _factor_positive,
                                certificate_criteria,
                                curve_from_j,
                                disc_square_class_of_j, discriminant,
@@ -289,6 +289,54 @@ def test_two_division_cubic_factors_only_j_minus_1728(monkeypatch):
         two_division_cubic(j)
         assert len(set(walked)) == 1, j
         assert walked[0].bit_length() <= 70
+
+
+def _brent_rho_with_abs(n, c, max_iters):
+    """The earlier loop of `_brent_rho`, which multiplied |x - y| into the
+    batch product; kept as the reference for the signed product."""
+    batch = 128
+    y, g, q_acc = 2, 1, 1
+    cycle, iters = 1, 0
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(cycle):
+            y = (y * y + c) % n
+        k = 0
+        while k < cycle and g == 1:
+            ys = y
+            steps = min(batch, cycle - k)
+            for _ in range(steps):
+                y = (y * y + c) % n
+                q_acc = q_acc * abs(x - y) % n
+            g = math.gcd(q_acc, n)
+            k += steps
+            iters += steps
+        cycle *= 2
+        if iters >= max_iters:
+            return None
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+            iters += 1
+            if iters >= max_iters + batch:
+                return None
+    return g if 1 < g < n else None
+
+
+def test_brent_rho_signed_product_matches_the_abs_loop():
+    # q_acc = +-(the product of |x - y|) mod n, and the sign does not change
+    # gcd(q_acc, n): every batch check, and so every result, is the same,
+    # including a None at a step cap the walk reaches
+    rng = random.Random(1009)
+    for _ in range(6):
+        p, q = _prime_near(rng, 10 ** 9), _prime_near(rng, 10 ** 9)
+        for c in (1, 3):
+            for cap in (1024, 8192, 10 ** 6):
+                assert _brent_rho(p * q, c, cap) == _brent_rho_with_abs(p * q, c, cap), (p, q, c, cap)
+        assert _brent_rho(p * q, 1, 10 ** 6) in (p, q)
 
 
 def test_two_torsion_family():
