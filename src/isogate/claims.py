@@ -30,14 +30,15 @@ from .errors import (
     Undecided,
     UnknownClaim,
 )
-from .gatefinder import find_gate_groups
+from .gatefinder import _verify_gate_group, find_gate_groups
 from .linaction import acts_freely, fixed_lines, orbits, projective_image
-from .matgroup import are_conjugate, mat_det, mat_trace
+from .matgroup import mat_det, mat_trace
 from .modcurve import (image_bound, named_curve, named_curves,
                        torsion_bound_cyclotomic, two_division_shape)
 from .modfield import supported_moduli
 from .pointcount import SCAN_BOUND
 from .ratcurves import (
+    SAMPLE_BOUND,
     CurveModel,
     certificate_criteria,
     curve_from_j,
@@ -141,7 +142,7 @@ def _torsion_prime_lists(raw) -> dict:
 @dataclass(frozen=True)
 class Config:
     """Prime lists and bounds the claims read; checked on construction."""
-    sample_bound: int = 10 ** 4
+    sample_bound: int = SAMPLE_BOUND
     torsion_primes: dict = field(default_factory=dict)  # curve label -> primes
 
     def __post_init__(self):
@@ -284,10 +285,14 @@ def _claim_exc_family(config: Config, moduli) -> tuple[dict, dict]:
         },
         "rational_poles": [],
     }
+    # every gate group G is conjugate to the G_d with d = |S(G)|, and r = 5
+    # has the one class G_4 (gatefinder docstring), so a g3 that passes the
+    # gate predicates with |S(g3)| = |S(G_4)| is conjugate to it
     gate = find_gate_groups(5).groups[0]
     g3 = standard_group("g3", 5)
     computed = {
-        "r5_gate_class_is_cube_torus": are_conjugate(gate, g3) is not None,
+        "r5_gate_class_is_cube_torus": (_verify_gate_group(g3, 5)
+                                        and g3.sl2_part().order == gate.sl2_part().order),
         "evaluations": {
             t: str(g3_family_j(Fraction(t))) for t in ("0", "1", "-1")
         },
@@ -539,19 +544,13 @@ def _claim_cm_filter(config: Config, moduli) -> tuple[dict, dict]:
         ],
         "survivors": {"7": ["-3^3*5^3", "3^3*5^3*17^3"]} if 7 in moduli else {},
     }
-    family_cm = [
-        rec.j_expr for rec in cm_table() if family_membership(rec.j)
-    ]
+    family_cm = [rec for rec in cm_table() if family_membership(rec.j)]
     survivors: dict[str, list[str]] = {}
     for r in moduli:
-        hits = [
-            rec.j_expr
-            for rec in cm_table()
-            if family_membership(rec.j) and cm_isogeny_over_cyclotomic(rec.j, r)
-        ]
+        hits = [rec.j_expr for rec in family_cm if cm_isogeny_over_cyclotomic(rec.j, r)]
         if hits:
             survivors[str(r)] = hits
-    computed = {"family_cm": family_cm, "survivors": survivors}
+    computed = {"family_cm": [rec.j_expr for rec in family_cm], "survivors": survivors}
     return expected, computed
 
 

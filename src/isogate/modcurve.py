@@ -26,13 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 
 from .cyclo import cm_field_discriminant
 from .errors import BadReduction, NoValidPrimes
 from .modfield import is_square, validate_modulus
 from .pointcount import SCAN_BOUND, count_by_x_scan
-from .ratcurves import (CubicFactorType, CurveModel, _cubic_shape, _factor_positive,
-                        is_probable_prime, rational_roots_cubic)
+from .ratcurves import (SAMPLE_BOUND, CubicFactorType, CurveModel, _cubic_shape,
+                        _factor_positive, frobenius_stream, is_probable_prime,
+                        rational_roots_cubic)
 
 _CURVE_FILE = "x0_curves.txt"
 _POINT_CAP = 16  # order search cutoff; rational torsion orders stay below it
@@ -231,27 +233,25 @@ def primary_structure(model: CurveModel, q: int, ell: int,
     raise AssertionError(f"points mod {q} did not generate the {ell}-part")
 
 
-# odd primes of good reduction whose counts bound the torsion order; the
-# curves of claims.FAMILY_J and the CM j 3^3*5^3*17^3, -2^18*3^3*5^3 and
+# counts of the Frobenius stream that bound the torsion order; the curves of
+# claims.FAMILY_J and the CM j 3^3*5^3*17^3, -2^18*3^3*5^3 and
 # -2^15*3^3*5^3*11^3 reach a gcd of at most 2 within five (2*3^3*43^3 needs
 # all five), and a curve that does not falls back to the full path
 _TORSION_PRIMES = 5
 
 
 def _torsion_order_gcd(model: CurveModel) -> int:
-    """gcd of #E(F_q) over the first _TORSION_PRIMES odd primes q not
-    dividing the discriminant, stopping once it is at most 2.
+    """gcd of #E(F_q) over the first _TORSION_PRIMES pairs of the Frobenius
+    stream, stopping once it is at most 2; 0 when the stream is empty.
 
     E(Q)_tors injects into E(F_q) at every odd prime of good reduction
-    (Silverman AEC VII.3.1), so its order divides the result.
+    (Silverman AEC VII.3.1), so its order divides every nonzero result.
     """
-    disc = int(model.discriminant())
-    b2, b4, b6 = int(model.b2), int(model.b4), int(model.b6)
-    g, used, q = 0, 0, 1
-    while used < _TORSION_PRIMES and g not in (1, 2):
-        q += 2
-        if disc % q and is_probable_prime(q):
-            g, used = math.gcd(g, count_by_x_scan(b2, b4, b6, q)), used + 1
+    g = 0
+    for q, a_q in islice(frobenius_stream(model, SAMPLE_BOUND), _TORSION_PRIMES):
+        g = math.gcd(g, q + 1 - a_q)
+        if g <= 2:
+            break
     return g
 
 
@@ -263,12 +263,12 @@ def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
     B = -54 c6, reached by X = 36x + 3 b2 and Y = 108(2y + a1 x + a3), a
     torsion point has integer coordinates and Y = 0 or Y^2 | 4A^3 + 27B^2
     = -2^8 3^12 Delta (Nagell-Lutz, Silverman AEC VIII.7).  When the
-    counts of _torsion_order_gcd leave an order of at most 2, every torsion
+    counts of _torsion_order_gcd leave an order of 1 or 2, every torsion
     point has Y = 0, and only that cubic is solved: Delta is not factored.
     """
     if not model.is_integral():
         raise ValueError("integral model required")
-    return _nagell_lutz(model, two_torsion_only=_torsion_order_gcd(model) <= 2)
+    return _nagell_lutz(model, two_torsion_only=0 < _torsion_order_gcd(model) <= 2)
 
 
 # small primes that sift the Nagell-Lutz candidates Y before the exact cubic
@@ -349,21 +349,6 @@ def count_points(model: CurveModel, q: int) -> int:
     return count_by_x_scan(int(model.b2), int(model.b4), int(model.b6), q)
 
 
-def good_split_primes(model: CurveModel, r: int, how_many: int) -> tuple[int, ...]:
-    """First primes q = 1 (mod r) above r with good reduction."""
-    validate_modulus(r)
-    disc = int(model.discriminant())
-    primes = []
-    q = r + 1
-    while len(primes) < how_many:
-        q += r
-        if q > SCAN_BOUND:
-            raise NoValidPrimes(f"no usable primes = 1 mod {r} below {SCAN_BOUND}")
-        if is_probable_prime(q) and disc % q != 0:
-            primes.append(q)
-    return tuple(primes)
-
-
 def _load_curves() -> dict[str, NamedCurve]:
     text = resources.files("isogate.data").joinpath(_CURVE_FILE).read_text("ascii")
     curves: dict[str, NamedCurve] = {}
@@ -426,15 +411,20 @@ def torsion_bound_cyclotomic(
     product over primes l dividing it of l^(min a + min b), where
     E(F_q)[l^oo] = Z/l^a x Z/l^b (a <= b) and the minima run over the
     primes q; it divides gcd_bound.  Neither is claimed tight.  The
-    default prime list is the first eight good primes = 1 (mod r) above
-    r, so reports are deterministic.  rational_points_found is exactly
-    #E(Q)_tors (rational_torsion plus the point at infinity), which
-    divides the torsion order over Q(zeta_r) and so both bounds.
+    default primes and counts are the first eight pairs of
+    frobenius_stream(model, SAMPLE_BOUND, r), so reports are deterministic.
+    rational_points_found is exactly #E(Q)_tors (rational_torsion plus the
+    point at infinity), which divides the torsion order over Q(zeta_r) and
+    so both bounds.
     """
     validate_modulus(r)
     model = curve.model
     if qs is None:
-        qs = good_split_primes(model, r, 8)
+        pairs = tuple(islice(frobenius_stream(model, SAMPLE_BOUND, r), 8))
+        if len(pairs) < 8:
+            raise NoValidPrimes(f"fewer than 8 good primes = 1 mod {r} below {SAMPLE_BOUND}")
+        qs = tuple(q for q, _ in pairs)
+        counts = tuple(q + 1 - a_q for q, a_q in pairs)
     else:
         qs = tuple(qs)
         if not qs:
@@ -445,8 +435,8 @@ def torsion_bound_cyclotomic(
                 raise ValueError(f"{q} is not 1 mod {r}")
             if disc % q == 0:
                 raise BadReduction(f"bad reduction at {q}")
-    qs = tuple(sorted(qs))
-    counts = tuple(count_points(model, q) for q in qs)
+        qs = tuple(sorted(qs))
+        counts = tuple(count_points(model, q) for q in qs)
     bound = math.gcd(*counts)
     structure = 1
     for ell in _factor_positive(bound):

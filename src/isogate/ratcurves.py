@@ -540,6 +540,10 @@ def g3_family_j(t: Rational) -> Fraction:
 
 # ---- surjectivity certification ----
 
+# default prime bound of the Frobenius readers: the certificates, the claim
+# config, the torsion-gcd shortcut and the default torsion primes
+SAMPLE_BOUND = 10 ** 4
+
 @dataclass(frozen=True)
 class SurjectivityReport:
     """Verdict of the four criteria at one modulus r.
@@ -561,11 +565,13 @@ class SurjectivityReport:
         return self.status == "certified_surjective"
 
 
-def frobenius_stream(curve: CurveModel, bound: int):
-    """(q, a_q) at every odd prime q <= bound of good reduction, lazily, in
-    increasing q; a point count is made only when its pair is read.  A bound
-    above the point-count kernel's SCAN_BOUND is refused here, before any
-    pair is read, not when the stream reaches it."""
+def frobenius_stream(curve: CurveModel, bound: int, modulus: int = 1):
+    """(q, a_q) at every odd prime q <= bound of good reduction with
+    q = 1 (mod modulus), lazily, in increasing q; a point count is made only
+    when its pair is read.  With modulus r these are the primes that split
+    completely in Q(zeta_r).  A bound above the point-count kernel's
+    SCAN_BOUND is refused here, before any pair is read, not when the
+    stream reaches it."""
     if not curve.is_integral():
         raise ValueError("Frobenius sampling needs an integral model")
     if bound > SCAN_BOUND:
@@ -574,7 +580,7 @@ def frobenius_stream(curve: CurveModel, bound: int):
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     return ((q, q + 1 - count_by_x_scan(b2 % q, b4 % q, b6 % q, q))
             for q in primes_upto(bound)
-            if q != 2 and disc_num % q != 0)
+            if q != 2 and (q - 1) % modulus == 0 and disc_num % q != 0)
 
 
 def frobenius_samples(curve: CurveModel, bound: int) -> list[tuple[int, int]]:
@@ -653,7 +659,7 @@ def _report(fold: _CriteriaFold, sample_bound: int, count: int) -> SurjectivityR
     return SurjectivityReport(status, fold.r, sample_bound, count, fold.criteria)
 
 
-def surjectivity_certificates(curve: CurveModel, moduli, sample_bound: int = 10 ** 4
+def surjectivity_certificates(curve: CurveModel, moduli, sample_bound: int = SAMPLE_BOUND
                               ) -> dict[int, SurjectivityReport]:
     """Certify the mod-r image for several moduli from one Frobenius stream.
 
@@ -678,7 +684,7 @@ def surjectivity_certificates(curve: CurveModel, moduli, sample_bound: int = 10 
     return {r: _report(fold, sample_bound, counts[r]) for r, fold in folds.items()}
 
 
-def surjectivity_certificate(curve: CurveModel, r: int, sample_bound: int = 10 ** 4,
+def surjectivity_certificate(curve: CurveModel, r: int, sample_bound: int = SAMPLE_BOUND,
                              samples=None) -> SurjectivityReport:
     """Certify the mod-r image is all of GL2(F_r), or report inconclusive.
 

@@ -75,6 +75,32 @@ def test_cheap_claims_pass():
     assert rep.status == "pass"
 
 
+def test_exc_family_cube_torus_matches_conjugacy_oracle():
+    # the claim reads the gatefinder classification; are_conjugate's GL2
+    # witness scan is the independent check
+    from isogate.gatefinder import find_gate_groups
+    from isogate.matgroup import are_conjugate
+    from isogate.stdgroups import standard_group
+    gate, g3 = find_gate_groups(5).groups[0], standard_group("g3", 5)
+    assert are_conjugate(gate, g3) is not None
+    assert gate.sl2_part().order == g3.sl2_part().order == 4
+    assert gate.order == g3.order == 16
+    rep = run_claim("exc-family")
+    assert rep.status == "pass"
+    assert rep.computed["r5_gate_class_is_cube_torus"] is True
+
+
+def test_cm_filter_tests_each_cm_j_once(monkeypatch):
+    from isogate import claims
+    from isogate.cyclo import cm_table
+    calls = []
+    membership = claims.family_membership
+    monkeypatch.setattr(claims, "family_membership",
+                        lambda j: calls.append(j) or membership(j))
+    assert run_claim("cm-filter").status == "pass"
+    assert len(calls) == len(cm_table()) == 13
+
+
 def test_report_to_dict():
     rep = run_claim("sqrt-rule")
     d = rep.to_dict()

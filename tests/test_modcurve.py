@@ -1,5 +1,9 @@
+import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +13,16 @@ from isogate.cyclo import cm_table
 from isogate.errors import (BadReduction, CompositeModulus, NoValidPrimes,
                             SingularCurve)
 from isogate.modcurve import (RANK_CAVEAT, NamedCurve, add_points,
-                              add_points_mod, count_points, good_split_primes,
+                              add_points_mod, count_points,
                               image_bound, multiply_mod, named_curve,
                               named_curves, negate,
                               on_curve, point_order, primary_structure,
                               rational_torsion, torsion_bound_cyclotomic,
                               two_division_shape)
+from isogate.modfield import supported_moduli
 from isogate.pointcount import primes_upto
-from isogate.ratcurves import (CurveModel, curve_from_j, parse_rational_expr,
+from isogate.ratcurves import (SAMPLE_BOUND, CurveModel, curve_from_j, frobenius_stream,
+                               parse_rational_expr,
                                rational_roots_cubic)
 
 X011 = named_curve("X0(11)")
@@ -63,11 +69,17 @@ def test_count_points():
         count_points(X011.model, 11)
 
 
+def _split_pairs(model, r, how_many=8):
+    """The first (q, a_q) of the stream at the split primes q = 1 (mod r)."""
+    return tuple(islice(frobenius_stream(model, SAMPLE_BOUND, r), how_many))
+
+
 def test_hasse_bullet():
     for label, r in (("X0(11)", 11), ("X0(14)", 7), ("X0(20)", 5)):
         curve = named_curve(label)
-        for q in good_split_primes(curve.model, r, 8):
+        for q, a_q in _split_pairs(curve.model, r):
             n = count_points(curve.model, q)
+            assert n == q + 1 - a_q
             assert abs(n - (q + 1)) <= 2 * math.isqrt(4 * q) / 2
             assert (n - (q + 1)) ** 2 <= 4 * q
 
@@ -93,9 +105,9 @@ def test_count_scan_agreement_bullet():
 
 
 def test_good_split_primes():
-    qs = good_split_primes(X014.model, 7, 8)
+    qs = tuple(q for q, _ in _split_pairs(X014.model, 7))
     assert qs == (29, 43, 71, 113, 127, 197, 211, 239)
-    assert good_split_primes(X011.model, 11, 1) == (23,)
+    assert tuple(q for q, _ in _split_pairs(X011.model, 11, 1)) == (23,)
     disc = int(X014.model.discriminant())
     for q in qs:
         assert q % 7 == 1 and disc % q != 0
@@ -143,8 +155,7 @@ def test_torsion_bound_explicit_lists():
 
 def test_torsion_bound_monotonicity_bullet():
     for curve, r in ((X014, 7), (X020, 5), (X011, 11)):
-        qs = good_split_primes(curve.model, r, 8)
-        counts = [count_points(curve.model, q) for q in qs]
+        counts = [q + 1 - a_q for q, a_q in _split_pairs(curve.model, r)]
         prev = 0
         for k in range(1, len(counts) + 1):
             bound = math.gcd(*counts[:k])
@@ -222,6 +233,30 @@ def test_torsion_bound_errors():
         torsion_bound_cyclotomic(X011, 5, (11,))
     with pytest.raises(NoValidPrimes):
         torsion_bound_cyclotomic(X011, 5, ())
+
+
+def test_torsion_bound_needs_eight_default_primes(monkeypatch):
+    # r = 97 has its eighth split good prime at 4,657 on every named curve
+    monkeypatch.setattr(modcurve, "SAMPLE_BOUND", 4_656)
+    with pytest.raises(NoValidPrimes, match="fewer than 8 .* below 4656"):
+        torsion_bound_cyclotomic(X014, 97)
+    monkeypatch.setattr(modcurve, "SAMPLE_BOUND", 4_657)
+    assert torsion_bound_cyclotomic(X014, 97).primes[-1] == 4_657
+
+
+# sha256 of the 72 default reports, named curves in label order, each at the
+# supported primes in increasing order, as JSON of the report fields; taken
+# from the walk over q = 1 (mod r) that the Frobenius stream replaced
+_DEFAULT_REPORTS_SHA256 = "47e4320ae62145a40ad7918d4c1e5306983447ad91912d8d626ce6fa7c98671f"
+
+
+def test_default_torsion_reports_are_frozen():
+    reports = [dataclasses.asdict(torsion_bound_cyclotomic(curve, r))
+               for _, curve in sorted(named_curves().items()) for r in supported_moduli()]
+    assert len(reports) == 72
+    assert max(q for rep in reports for q in rep["primes"]) == 4_657
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _DEFAULT_REPORTS_SHA256
 
 
 def _is_perfect_square(n: int) -> bool:
@@ -481,6 +516,24 @@ def _cheap_models():
         yield CurveModel(*coeffs)
     for j_expr in ("0", "2^6*3^3", "-3^3*5^3", "-2^15"):
         yield curve_from_j(parse_rational_expr(j_expr))
+
+
+def test_empty_frobenius_stream_takes_the_full_path(monkeypatch):
+    # a gcd of 0 (no counts read) bounds nothing: full Nagell-Lutz, not the
+    # 2-division cubic alone
+    model = X011.model
+    monkeypatch.setattr(modcurve, "frobenius_stream", lambda *args: iter(()))
+    assert modcurve._torsion_order_gcd(model) == 0
+    calls = []
+    full = modcurve._nagell_lutz
+
+    def recording(model, two_torsion_only):
+        calls.append(two_torsion_only)
+        return full(model, two_torsion_only)
+    monkeypatch.setattr(modcurve, "_nagell_lutz", recording)
+    points = rational_torsion.__wrapped__(model)  # bypass the cache
+    assert calls == [False]
+    assert len(points) + 1 == X011.expected_rational_torsion
 
 
 def test_rational_torsion_matches_full_nagell_lutz_on_cheap_models():

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isogate import ratcurves
 from isogate.errors import (InsufficientSamples, SingularCurve, Undecided,
                             ZeroParameter)
 from isogate.matgroup import mat_det, mat_trace
@@ -420,6 +422,50 @@ def test_frobenius_samples():
         assert a_q * a_q <= 4 * q
     with pytest.raises(ValueError):
         frobenius_samples(CurveModel.short(Fraction(1, 4), 1), 50)
+
+
+def _brute_frobenius(model, bound, modulus):
+    """(q, a_q) at the odd primes q <= bound, q = 1 (mod modulus), q not
+    dividing the discriminant, with a_q = -sum_x (f(x)/q) for
+    f = 4x^3 + b2 x^2 + 2 b4 x + b6, by Euler's criterion."""
+    b2, b4, b6 = int(model.b2), int(model.b4), int(model.b6)
+    disc = int(model.discriminant())
+    out = []
+    for q in range(3, bound + 1, 2):
+        if any(q % p == 0 for p in range(3, math.isqrt(q) + 1, 2)):
+            continue
+        if (q - 1) % modulus or disc % q == 0:
+            continue
+        a_q = 0
+        for x in range(q):
+            v = pow(((4 * x + b2) * x + 2 * b4) * x + b6, (q - 1) // 2, q)
+            a_q -= -1 if v == q - 1 else v
+        out.append((q, a_q))
+    return out
+
+
+@pytest.mark.parametrize("modulus", (1, 5, 7, 13, 97))
+def test_frobenius_stream_matches_brute_force(modulus):
+    models = [named_curve(label).model for label in ("X0(11)", "X0(14)", "X0(20)")]
+    models += [CurveModel.short(1, 0), curve_from_j(parse_rational_expr("2^5*7^3"))]
+    for model in models:
+        got = list(ratcurves.frobenius_stream(model, 1000, modulus))
+        assert got == _brute_frobenius(model, 1000, modulus)
+    if modulus == 97:  # the primes = 1 (mod 97) below 1000
+        assert [q for q, _ in got] == [389, 971]
+
+
+@pytest.mark.parametrize("modulus", (1, 5, 7, 13, 97))
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-50, 50), st.integers(-50, 50))
+def test_frobenius_stream_matches_brute_force_on_random_models(modulus, a1, a2, a3, a4, a6):
+    try:
+        model = CurveModel(a1, a2, a3, a4, a6)
+    except SingularCurve:
+        return
+    assert list(ratcurves.frobenius_stream(model, 400, modulus)) == \
+        _brute_frobenius(model, 400, modulus)
 
 
 def test_surjectivity_examples():
