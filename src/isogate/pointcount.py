@@ -43,6 +43,8 @@ the scan's quotient buffer, which the reduction overwrites only after the
 cubic is evaluated.
 """
 
+import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -50,18 +52,41 @@ import numpy as np
 SCAN_BOUND = 10 ** 6  # 5 q^3 < 2^63: the unreduced Horner values fit in int64
 _BLOCK = 1 << 16
 _shared_x = None
+_sieve_bound, _sieve_primes = 0, None
+
+
+def prime_array(n: int) -> np.ndarray:
+    """The primes <= n, as a read-only int64 view of the one shared sieve.
+
+    The sieve holds the primes below a power of two.  It is rebuilt, up to
+    the least power of two above n, only when n is past it, so a process
+    that asks only for small bounds never holds a large table.  Only odd
+    numbers are sieved.
+    """
+    global _sieve_bound, _sieve_primes
+    if n >= _sieve_bound:
+        bound = 1 << max(n, 1).bit_length()
+        odd = np.ones(bound // 2, dtype=bool)  # odd[i]: whether 2i + 1 is prime
+        for i in range(1, math.isqrt(bound) // 2 + 1):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2::p] = False
+        # odd[0] stands for 1, which is not prime: its slot is kept for 2
+        primes = np.flatnonzero(odd)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        primes.flags.writeable = False
+        _sieve_bound, _sieve_primes = bound, primes
+    # bisect, not np.searchsorted: the first searchsorted call maps about
+    # 64 KB of numpy code, which verify --all would pay in peak RSS
+    return _sieve_primes[:bisect_right(_sieve_primes, n)]
 
 
 @lru_cache(maxsize=32)
 def primes_upto(n: int) -> tuple[int, ...]:
-    if n < 2:
-        return ()
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return tuple(int(p) for p in np.nonzero(sieve)[0])
+    """The primes <= n as Python ints: the tuple view of `prime_array`."""
+    return tuple(prime_array(n).tolist())
 
 
 def _x_run(start: int, n: int, out: np.ndarray) -> np.ndarray:

@@ -11,10 +11,21 @@ discriminant of x^3 + Ax + B is (432jk)^2 (j - 1728), so its class is that
 of j - 1728.  The class is checked against the discriminant exactly, by
 integer square roots of numerator and denominator.
 
-All rational arithmetic uses fractions.Fraction; nothing here is floating
-point.  Root finding never factors the (possibly 40-digit) coefficients:
-positive answers come from exact bisection plus verification, negative
-ones from a root-free reduction at a witness prime.
+A square class is read without a full factorization.  After trial
+division by the primes below 2000, the cofactor m is 1, a prime, a square,
+or, below 2^63, divided by every prime in (2000, L] with L = floor(m^(1/3)),
+in one numpy remainder over the primes up to L.  What is left, m', has no
+prime factor <= L, and m' <= m < (L + 1)^3.  A product of three primes,
+each >= L + 1, would be at least (L + 1)^3, so m' is 1, p, p^2 or pq with
+p != q: its squarefree part is 1 when m' is a square and m' otherwise.
+Only a cofactor of 2^63 or more goes through Brent's rho.
+
+All rational arithmetic uses fractions.Fraction; the only floating point
+is the estimate of an integer cube root, which is then corrected
+exactly.  Root finding never factors the (possibly 40-digit)
+coefficients: positive answers come from exact bisection plus
+verification, negative ones from a root-free reduction at a witness
+prime.
 """
 
 from __future__ import annotations
@@ -24,11 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (FactorizationIncomplete, InsufficientSamples,
                      PoleAtParameter, SingularCurve, Undecided, ZeroParameter)
 from .modfield import (LARGE_ORDER, NONSPLIT, SPLIT, generates_units, serre_bits,
                        validate_modulus)
-from .pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
+from .pointcount import SCAN_BOUND, count_by_x_scan, prime_array, primes_upto
 
 Rational = Fraction | int
 
@@ -206,18 +219,65 @@ def _factor_positive(n: int) -> dict[int, int]:
     return out
 
 
+def _divide_out(n: int, p: int) -> tuple[int, bool]:
+    """n with every factor p taken out, and whether p divided it an odd
+    number of times."""
+    odd = False
+    while n % p == 0:
+        n //= p
+        odd = not odd
+    return n, odd
+
+
+def _icbrt(m: int) -> int:
+    """floor(m^(1/3)) for 0 <= m < 2^63, exactly: the float estimate is
+    corrected in both directions."""
+    c = round(m ** (1 / 3))
+    while c ** 3 > m:
+        c -= 1
+    while (c + 1) ** 3 <= m:
+        c += 1
+    return c
+
+
+def _cofactor_class(m: int) -> int:
+    """Squarefree part of m >= 1 with no prime factor below 2000.
+
+    1, a prime and a square are read off directly; below 2^63 the primes up
+    to the cube root are tried in one numpy call (the module docstring has
+    the proof); only a larger cofactor is factored with Brent's rho.
+    """
+    if m == 1 or is_probable_prime(m):
+        return m
+    root = math.isqrt(m)
+    if root * root == m:
+        return 1
+    if m >= 1 << 63:
+        return math.prod(p for p, e in _factor_positive(m).items() if e % 2)
+    # the primes in (2000, L]: the sieve's first entries are the trial primes
+    primes = prime_array(_icbrt(m))[len(_TRIAL_PRIMES):]
+    out = 1
+    for p in primes[np.remainder(m, primes) == 0].tolist():
+        m, odd = _divide_out(m, p)
+        out *= p if odd else 1
+    root = math.isqrt(m)
+    return out if root * root == m else out * m
+
+
 @lru_cache(maxsize=256)
 def _squarefree_int(n: int) -> int:
     """Squarefree part of the integer n >= 1.
 
     Memoised on the integer, so a class asked for twice (as an int and as
-    an equal Fraction, say) is factored once.
+    an equal Fraction, say) is computed once.
     """
     out = 1
-    for p, e in _factor_positive(n).items():
-        if e % 2:
-            out *= p
-    return out
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        n, odd = _divide_out(n, p)
+        out *= p if odd else 1
+    return out * _cofactor_class(n)
 
 
 def squarefree_part(q: Rational) -> int:

@@ -95,6 +95,19 @@ def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
     return by_key, by_code
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D array a, sorted.
+
+    np.unique would give the same, but on numpy 2 its plain form calls
+    np.ma.is_masked, and so imports numpy.ma into the process.
+    """
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 # codes per batch of the candidate walk: a batch holds as many rows of r^4
 # codes as fit, so its seen mask stays near this size at every r
 _BATCH_CODES = 1 << 18
@@ -148,7 +161,7 @@ def _walk_batch(k, h_codes, h_tables, xs, goal: int, stop, cap: int) -> list:
         parts.append(row_base + x_table[x_rows + high] * r2 + x_table[x_rows + low])
         step = np.concatenate(parts) if len(parts) > 1 else parts[0]
         tables = h_tables
-        frontier = np.unique(step[~seen[step]])
+        frontier = _distinct(step[~seen[step]])
         member = frontier // n
         codes = frontier - member * n
         counts = np.bincount(member, minlength=m)
@@ -305,7 +318,7 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
             break
         label = new
     outside = ~k.mask(group._code_array())[gl]
-    return k.decode(gl[np.unique(label[outside])])
+    return k.decode(gl[_distinct(label[outside])])
 
 
 # where each candidate of a level was settled, in funnel order

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogate.pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
+from isogate.pointcount import SCAN_BOUND, count_by_x_scan, prime_array, primes_upto
 
 
 def _euler_count(b2, b4, b6, q):
@@ -38,6 +38,31 @@ def _square_table_count(b2, b4, b6, q):
     zeros = int((v == 0).sum())
     on_squares = int((sq[v] & (v != 0)).sum())
     return 1 + zeros + 2 * on_squares
+
+
+def _reference_primes(n):
+    """Primes <= n from a plain bytearray sieve over every integer."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, int(n ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if flags[p]]
+
+
+def test_prime_array_matches_a_plain_sieve_at_every_bound():
+    # bounds on both sides of powers of two, asked for in rising and then
+    # falling order, so views of a grown sieve are read as well as new ones
+    reference = _reference_primes((1 << 21) + 1)
+    bounds = [-1, 0, 1, 2, 3, 4, 5, 7, 8, 9, 2000, 2047, 2048, 2049,
+              10 ** 4, (1 << 20) - 1, 1 << 20, (1 << 21) - 1, 1 << 21, (1 << 21) + 1]
+    for n in bounds + bounds[::-1]:
+        expected = [p for p in reference if p <= n]
+        primes = prime_array(n)
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert primes.tolist() == expected, n
+        assert primes_upto(n) == tuple(expected)
+        assert all(type(p) is int for p in primes_upto(n))
 
 
 def test_matches_euler_criterion_at_every_odd_prime_to_2000():

@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +187,55 @@ def test_factor_positive_matches_sympy():
         assert _factor_positive(n) == expected, n
 
 
+def _class_from_factors(n):
+    return math.prod(p for p, e in _factor_positive(n).items() if e % 2)
+
+
+# cofactors (no prime factor below 2000) of each shape the square class
+# reads without factoring; all but the last are below 2^63.  2097143 is the
+# largest prime below 2^21, the prime table's largest bound, and
+# 2097143^3 < 2^63 is read with the cube root L = p exactly; p q^2 leaves
+# q^2 > L^2 after the division; 3037000453 < 3037000493 < 2^31.5 <
+# 3037000507 are consecutive primes, so the last three sit on both sides
+# of 2^63
+_SQUARE_CLASS_SHAPES = {
+    "pq": 1000000007 * 1999999973,
+    "pqs": 1000003 * 1000033 * 2000003,
+    "pqs, all above 2000": 2003 * 2011 * 2017,
+    "p^3 at 2003": 2003 ** 3,
+    "p^3 below 2^21": 2097143 ** 3,
+    "p^2 q": 10007 ** 2 * 1000000007,
+    "p q^2, q past the cube root": 2003 * 1000003 ** 2,
+    "p^2 q, q past the cube root": 2011 ** 2 * 1000000007,
+    "p^4 q": 2003 ** 4 * 2011,
+    "pq below 2^63": 3037000493 * 3037000453,
+    "p^2 below 2^63": 3037000493 ** 2,
+    "pq above 2^63": 3037000493 * 3037000507,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SQUARE_CLASS_SHAPES))
+def test_squarefree_part_shapes_match_factoring_and_sympy(shape, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    m = _SQUARE_CLASS_SHAPES[shape]
+    expected = math.prod(int(p) for p, e in sympy.factorint(m).items() if e % 2)
+    assert _class_from_factors(m) == expected
+    walked = []
+    real = ratcurves._brent_rho
+
+    def counting(n, c, max_iters):
+        walked.append(n)
+        return real(n, c, max_iters)
+
+    monkeypatch.setattr(ratcurves, "_brent_rho", counting)
+    for small, sign in ((1, 1), (12, -1), (2 ** 5 * 1999 ** 3, 1)):
+        ratcurves._squarefree_int.cache_clear()
+        assert squarefree_part(sign * small * m) == sign * _class_from_factors(small) * expected
+        assert squarefree_part(Fraction(sign * m, small)) == sign * _class_from_factors(small) * expected
+    # only a cofactor of 2^63 or more is split by rho
+    assert bool(walked) == (m >= 1 << 63), walked
+
+
 def _random_cubic(rng):
     """Coefficients (c3, c2, c1, c0) of a cubic, often with rational roots."""
     def rat():
@@ -273,24 +327,19 @@ def test_cubic_shape_rejects_a_wrong_disc_class():
 
 
 def test_two_division_cubic_factors_only_j_minus_1728(monkeypatch):
+    # j - 1728 has two prime factors near 10^9, and its cofactor is below
+    # 2^63, so the class comes from the cube-root trial division: Brent's
+    # rho never runs, and the class is computed once per j
     from isogate import ratcurves
-    walked = []
-    real = ratcurves._brent_rho
-
-    def counting(n, c, max_iters):
-        walked.append(n)
-        return real(n, c, max_iters)
-
-    monkeypatch.setattr(ratcurves, "_brent_rho", counting)
+    monkeypatch.setattr(ratcurves, "_brent_rho",
+                        lambda *args: pytest.fail("walked Brent's rho"))
     for j in _two_large_prime_js(61, 4):
         ratcurves._squarefree_int.cache_clear()
-        walked.clear()
         # an integral j goes in as an int, as the benchmark passes it; the
         # Fraction that two_division_cubic passes on must hit the same cache
         disc_square_class_of_j(j.numerator if j.denominator == 1 else j)
         two_division_cubic(j)
-        assert len(set(walked)) == 1, j
-        assert walked[0].bit_length() <= 70
+        assert ratcurves._squarefree_int.cache_info().misses == 1, j
 
 
 def _brent_rho_with_abs(n, c, max_iters):
@@ -339,6 +388,37 @@ def test_brent_rho_signed_product_matches_the_abs_loop():
             for cap in (1024, 8192, 10 ** 6):
                 assert _brent_rho(p * q, c, cap) == _brent_rho_with_abs(p * q, c, cap), (p, q, c, cap)
         assert _brent_rho(p * q, 1, 10 ** 6) in (p, q)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_REGISTRY_SCRIPT = """
+import io, json
+from isogate import claims, pointcount, ratcurves
+calls = {"rho": 0, "cube_root_table": 0}
+
+def counted(name, f):
+    def wrapper(*args):
+        calls[name] += 1
+        return f(*args)
+    return wrapper
+
+ratcurves._brent_rho = counted("rho", ratcurves._brent_rho)
+ratcurves.prime_array = counted("cube_root_table", ratcurves.prime_array)
+reports = claims.run_all(stream=io.StringIO())
+calls["passed"] = all(rep.status == "pass" for rep in reports)
+calls["sieve_bound"] = pointcount._sieve_bound
+print(json.dumps(calls))
+"""
+
+
+def test_registry_reads_square_classes_without_rho_or_the_cube_root_table():
+    # every cofactor verify --all meets is 1, a prime or a square; the
+    # largest prime bound it asks for is the sample bound 10^4
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _REGISTRY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    calls = json.loads(out.stdout)
+    assert calls == {"rho": 0, "cube_root_table": 0, "passed": True, "sieve_bound": 1 << 14}
 
 
 def test_two_torsion_family():

@@ -21,7 +21,7 @@ from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
-                                   _dickson_bound, _normalizer_moves,
+                                   _dickson_bound, _distinct, _normalizer_moves,
                                    _serre_tables, class_counts,
                                    subgroup_classes)
 
@@ -462,3 +462,27 @@ def test_funnel_repeats_across_cold_runs():
         runs.append(json.loads(out.stdout))
     assert runs[0] == runs[1]
     assert runs[0] == [subgroup_classes(r, k).funnel for r, k in ((5, 1), (5, 3), (7, 2))]
+
+
+_MASKED_SCRIPT = """
+import sys
+from isogate.subgroup_enum import subgroup_classes
+subgroup_classes(7, 2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_subgroup_classes_leave_numpy_ma_unimported():
+    # np.unique's plain form imports numpy.ma on numpy 2 (about 1 MB of
+    # peak RSS per process); the walk and the orbit labels dedupe by sorting
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _MASKED_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-5, 40), max_size=30))
+def test_distinct_matches_np_unique(values):
+    a = np.array(values, dtype=np.int64)
+    assert np.array_equal(_distinct(a), np.unique(a))
