@@ -234,34 +234,28 @@ def _claim_g3_orbits(config: Config, moduli) -> tuple[dict, dict]:
     return expected, computed
 
 
-_GATE_EXPECTED = {
-    # class count, sorted index list, +/- pairs by index rank; the r=5
-    # index is not a closed form, it is frozen search output confirmed by
-    # the independent generator enumeration
-    "5": {"classes": 1, "indices": [30], "pm_pairs": []},
-    "7": {"classes": 2, "indices": [56, 112], "pm_pairs": [[0, 1]]},
-    "11": {"classes": 2, "indices": [132, 264], "pm_pairs": [[0, 1]]},
-    "13": {"classes": 2, "indices": [182, 546], "pm_pairs": []},
-    # beyond the GL2 kernel: frozen search output, confirmed in the tests
-    # by a walk over every subgroup of N(C_s); it fits the closed form
-    # checked there (one class of index r(r^2-1)/d for each d | r-1 with
-    # d > 2, and 4 | d when r = 1 mod 4)
-    "17": {"classes": 3, "indices": [306, 612, 1224], "pm_pairs": []},
-    "19": {"classes": 4, "indices": [380, 760, 1140, 2280],
-           "pm_pairs": [[0, 1], [2, 3]]},
-    "23": {"classes": 2, "indices": [552, 1104], "pm_pairs": [[0, 1]]},
-    "29": {"classes": 2, "indices": [870, 6090], "pm_pairs": []},
-    "31": {"classes": 6, "indices": [992, 1984, 2976, 4960, 5952, 9920],
-           "pm_pairs": [[0, 1], [2, 4], [3, 5]]},
-    "37": {"classes": 3, "indices": [1406, 4218, 12654], "pm_pairs": []},
-}
+def _gate_expected(r: int) -> dict:
+    """The gate classes at r by the closed form proved in gatefinder.
+
+    One class G_d of index r(r^2-1)/d for each d | r-1 with d > 2, and
+    4 | d when r = 1 (mod 4); G_d = <G_(d/2), -I> exactly when
+    d = 2 (mod 4).  Indices ascend (d descends); a pair is its index ranks.
+    """
+    ds = [d for d in range(r - 1, 2, -1)
+          if (r - 1) % d == 0 and (r % 4 == 3 or d % 4 == 0)]
+    rank = {d: i for i, d in enumerate(ds)}
+    return {
+        "classes": len(ds),
+        "indices": [r * (r * r - 1) // d for d in ds],
+        "pm_pairs": [[rank[d], rank[d // 2]] for d in ds if d % 4 == 2],
+    }
 
 
 def _claim_gate_search(config: Config, moduli) -> tuple[dict, dict]:
     moduli = moduli or (5, 7, 11, 13)
     expected, computed = {}, {}
     for r in moduli:
-        expected[str(r)] = _GATE_EXPECTED[str(r)]
+        expected[str(r)] = _gate_expected(r)
         res = find_gate_groups(r)
         rank = sorted(range(len(res.indices)), key=res.indices.__getitem__)
         pos = {old: new for new, old in enumerate(rank)}
@@ -648,10 +642,11 @@ _REGISTRY: dict[str, ClaimSpec] = {
         ),
         ClaimSpec(
             "gate-search",
-            "exhaustive search for proper applicable subgroups with "
-            "irreducible action and reducible determinant-one part",
+            "the proper applicable subgroups with irreducible action and "
+            "reducible determinant-one part, constructed and checked against "
+            "their closed form",
             _claim_gate_search,
-            moduli_rule=lambda r: str(r) in _GATE_EXPECTED,
+            moduli_rule=lambda r: True,
         ),
         ClaimSpec(
             "exc-family",

@@ -93,18 +93,6 @@ def cm_field_discriminant(j) -> int | None:
     return None
 
 
-def is_cm_j(j) -> bool:
-    return cm_field_discriminant(j) is not None
-
-
-def fundamental_discriminant(d: int) -> int:
-    """Fundamental discriminant attached to d, via the squarefree part."""
-    if d == 0:
-        raise ValueError("zero has no attached discriminant")
-    m = squarefree_part(d)
-    return m if m % 4 == 1 else 4 * m
-
-
 def cm_isogeny_over_cyclotomic(j, r: int) -> bool:
     """Whether the CM curve with invariant j acquires an r-isogeny over Q(zeta_r).
 

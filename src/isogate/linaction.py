@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matgroup import Mat, MatrixGroup, is_scalar, mat_mul
+from .matgroup import Mat, MatrixGroup
 
 
 def _apply(m: Mat, v: tuple[int, int], r: int) -> tuple[int, int]:
@@ -86,9 +86,6 @@ def fixed_lines(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
 
 
 # ---- projective image ----
-
-PROJECTIVE_CLASSES = ("cyclic", "dihedral", "A4", "S4", "A5", "PSL2", "PGL2", "other")
-
 
 @dataclass(frozen=True)
 class ProjectiveImage:

@@ -18,7 +18,6 @@ before allocating anything.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import chain
 
@@ -90,22 +89,6 @@ def minus_identity(r: int) -> Mat:
 
 def is_scalar(m: Mat) -> bool:
     return m[1] == 0 and m[2] == 0 and m[0] == m[3]
-
-
-_MAT_RE = re.compile(
-    r"^\s*\[\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*,"
-    r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*\]\s*mod\s*(\d+)\s*$"
-)
-
-
-def parse_matrix(text: str) -> tuple[Mat, int]:
-    """Parse '[[a,b],[c,d]] mod r' into a reduced matrix and its modulus."""
-    m = _MAT_RE.match(text)
-    if m is None:
-        raise ValueError(f"expected '[[a,b],[c,d]] mod r', got {text!r}")
-    a, b, c, d, r = (int(g) for g in m.groups())
-    validate_modulus(r)
-    return mat_reduce((a, b, c, d), r), r
 
 
 def format_matrix(m: Mat, r: int) -> str:

@@ -7,10 +7,12 @@ import pytest
 from isogate.claims import (CLAIM_IDS, CRITERION_CLAIMS, FAMILY_J, FAMILY_T,
                             NO_TWO_TORSION_J, ClaimReport, Config,
                             _bounded_verdict, _exact_torsion_order,
+                            _gate_expected,
                             claim_description, run_all,
                             run_claim, write_reports)
 from isogate.errors import UnknownClaim
 from isogate.modcurve import named_curve, two_division_shape
+from isogate.modfield import supported_moduli
 from isogate.ratcurves import (CubicFactorType, CurveModel, curve_from_j,
                                parse_rational_expr, surjectivity_certificates)
 
@@ -56,10 +58,39 @@ def test_run_claim_errors():
         run_claim("nope")
     with pytest.raises(ValueError):
         run_claim("disc-7", moduli=(7,))
-    for claim_id, r in (("cartan-lemma", 4), ("cm-criterion", 101), ("gate-search", 41),
+    for claim_id, r in (("cartan-lemma", 4), ("cm-criterion", 101), ("gate-search", 101),
                         ("surjectivity", 3), ("cube-cartan", 5), ("g3-orbits", 7)):
         with pytest.raises(ValueError, match=f"r = {r}"):
             run_claim(claim_id, moduli=(r,))
+
+
+# the gate-search rows r = 5..37 as frozen from the exhaustive search
+# before the closed form was proved
+_GATE_ROWS = {
+    5: {"classes": 1, "indices": [30], "pm_pairs": []},
+    7: {"classes": 2, "indices": [56, 112], "pm_pairs": [[0, 1]]},
+    11: {"classes": 2, "indices": [132, 264], "pm_pairs": [[0, 1]]},
+    13: {"classes": 2, "indices": [182, 546], "pm_pairs": []},
+    17: {"classes": 3, "indices": [306, 612, 1224], "pm_pairs": []},
+    19: {"classes": 4, "indices": [380, 760, 1140, 2280],
+         "pm_pairs": [[0, 1], [2, 3]]},
+    23: {"classes": 2, "indices": [552, 1104], "pm_pairs": [[0, 1]]},
+    29: {"classes": 2, "indices": [870, 6090], "pm_pairs": []},
+    31: {"classes": 6, "indices": [992, 1984, 2976, 4960, 5952, 9920],
+         "pm_pairs": [[0, 1], [2, 4], [3, 5]]},
+    37: {"classes": 3, "indices": [1406, 4218, 12654], "pm_pairs": []},
+}
+
+
+def test_gate_closed_form_matches_frozen_rows():
+    for r, row in _GATE_ROWS.items():
+        assert _gate_expected(r) == row, r
+
+
+def test_gate_search_passes_at_every_supported_prime():
+    rep = run_claim("gate-search", moduli=supported_moduli())
+    assert rep.status == "pass", rep.computed
+    assert rep.params == {"r": list(supported_moduli())}
 
 
 def test_cheap_claims_pass():

@@ -54,7 +54,7 @@ def test_verify_with_moduli(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["cartan-lemma", "--r", "4"],
-    ["gate-search", "--r", "41"],
+    ["gate-search", "--r", "101"],
     ["surjectivity", "--r", "3"],
     ["cube-cartan", "--r", "5"],
     ["g3-orbits", "--r", "7"],
@@ -72,6 +72,7 @@ def test_verify_rejects_off_domain_moduli(capsys, argv):
     ["cm-filter", "--r", "7"],
     ["cm-criterion", "--r", "3"],
     ["gate-search", "--r", "13"],
+    ["gate-search", "--r", "41", "97"],
     ["surjectivity", "--r", "5"],
     ["cube-cartan", "--r", "13"],
     ["g3-orbits", "--r", "11"],

@@ -5,7 +5,6 @@ import pytest
 
 from isogate.cyclo import (CmRecord, cm_field_discriminant, cm_isogeny_over_cyclotomic,
                            cm_table, full_two_torsion_over_cyclotomic,
-                           fundamental_discriminant, is_cm_j,
                            is_square_in_cyclotomic, quadratic_subfield)
 from isogate.errors import NotCmCurve
 from isogate.modfield import supported_moduli
@@ -93,8 +92,8 @@ def test_cm_field_discriminant():
     assert cm_field_discriminant(parse_rational_expr("-3^3*5^3")) == -7
     assert cm_field_discriminant(0) == -3
     assert cm_field_discriminant(parse_rational_expr("2^5*7^3")) is None
-    assert is_cm_j(1728)
-    assert not is_cm_j(Fraction(1, 7))
+    assert cm_field_discriminant(1728) == -4
+    assert cm_field_discriminant(Fraction(1, 7)) is None
 
 
 def test_cm_isogeny_over_cyclotomic():
@@ -104,17 +103,6 @@ def test_cm_isogeny_over_cyclotomic():
     assert not cm_isogeny_over_cyclotomic(parse_rational_expr("-3^3*5^3"), 11)
     with pytest.raises(NotCmCurve):
         cm_isogeny_over_cyclotomic(parse_rational_expr("2^5*7^3"), 7)
-
-
-def test_fundamental_discriminant():
-    assert fundamental_discriminant(5) == 5
-    assert fundamental_discriminant(-7) == -7
-    assert fundamental_discriminant(-1) == -4
-    assert fundamental_discriminant(8) == 8
-    assert fundamental_discriminant(18) == 8  # 18 = 2 * 3^2
-    assert fundamental_discriminant(45) == 5
-    with pytest.raises(ValueError):
-        fundamental_discriminant(0)
 
 
 def test_full_two_torsion_decisions():

@@ -12,7 +12,7 @@ from isogate.errors import (CompositeModulus, ModulusMismatch,
 from isogate.matgroup import (IDENT, MatrixGroup, all_gl2, are_conjugate,
                               format_matrix, gl2_order, is_applicable,
                               is_scalar, mat_det, mat_inv, mat_mul, mat_pow,
-                              mat_trace, minus_identity, parse_matrix,
+                              mat_trace, minus_identity,
                               random_gl2, sl2_order, _generating_subset, _kernel,
                               _trace_det_fingerprint)
 from isogate.stdgroups import (borel, nonsplit_cartan,
@@ -45,13 +45,8 @@ def test_mat_pow():
 
 
 def test_parse_format():
-    m, r = parse_matrix("[[2,0],[0,3]] mod 13")
-    assert (m, r) == ((2, 0, 0, 3), 13)
-    m, r = parse_matrix("[[-1, 0], [0, -1]] mod 7")
-    assert m == (6, 0, 0, 6)
-    assert parse_matrix(format_matrix((2, 1, 3, 4), 5)) == ((2, 1, 3, 4), 5)
-    with pytest.raises(ValueError):
-        parse_matrix("[[1,2],[3,4]]")
+    # the CLI prints matrices in this form
+    assert format_matrix((2, 1, 3, 4), 5) == "[[2,1],[3,4]] mod 5"
 
 
 def test_scalars():
