@@ -21,27 +21,45 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
+def _code_permutation(m: Mat, r: int) -> list[int]:
+    """The action of m on the codes x*r + y of the vectors (x, y), as a list."""
+    a, b, c, d = m
+    return [(a * x + b * y) % r * r + (c * x + d * y) % r
+            for x in range(r) for y in range(r)]
+
+
 def orbits(group: MatrixGroup) -> OrbitDecomposition:
-    """Orbit partition of the nonzero vectors of F_r^2 under the group."""
+    """Orbit partition of the nonzero vectors of F_r^2 under the group.
+
+    A vector (x, y) is handled as its code x*r + y, and each generator as
+    a permutation of the r^2 codes.  Codes ascend in the order of the
+    tuples they stand for, so scanning seeds by code takes the least
+    vector not yet reached, and the parts and their (size, least vector)
+    order are those of a search over tuples.
+    """
     r = group.r
-    gens = group.generators
-    remaining = {(x, y) for x in range(r) for y in range(r)} - {(0, 0)}
+    perms = [_code_permutation(g, r) for g in group.generators]
+    seen = [False] * (r * r)
+    seen[0] = True
     parts = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
+    for seed in range(1, r * r):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        orbit = [seed]
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for g in gens:
-                w = _apply(g, v, r)
-                if w not in orbit:
-                    orbit.add(w)
+            for p in perms:
+                w = p[v]
+                if not seen[w]:
+                    seen[w] = True
+                    orbit.append(w)
                     frontier.append(w)
-        parts.append(frozenset(orbit))
-        remaining -= orbit
-    parts.sort(key=lambda s: (len(s), min(s)))
-    return OrbitDecomposition(tuple(parts), tuple(len(s) for s in parts))
+        parts.append((len(orbit), seed, frozenset(divmod(w, r) for w in orbit)))
+    parts.sort()
+    return OrbitDecomposition(tuple(s for _, _, s in parts),
+                              tuple(n for n, _, _ in parts))
 
 
 def acts_freely(group: MatrixGroup) -> bool:

@@ -303,8 +303,12 @@ class CurveModel:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.discriminant() == 0:
+        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
+        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise SingularCurve(f"discriminant 0 for {self}")
+        # not a field, so eq, hash and repr read the five coefficients only
+        object.__setattr__(self, "_disc", disc)
 
     @classmethod
     def short(cls, a: Rational, b: Rational) -> "CurveModel":
@@ -329,8 +333,7 @@ class CurveModel:
                 - self.a4 * self.a4)
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
 
     def j_invariant(self) -> Fraction:
         c4 = self.b2 * self.b2 - 24 * self.b4
@@ -433,10 +436,14 @@ def _integer_roots(coeffs: list[int]) -> list[int]:
 
     The real line is cut at the critical points into monotone regions; a
     binary search on each region finds its root, if any.  No coefficient
-    is ever factored, so 40-digit constants are fine.
+    is ever factored, so 40-digit constants are fine.  The search range is
+    Fujiwara's bound: every root z of x^n + c_1 x^(n-1) + ... + c_n has
+    |z| <= 2 max_k |c_k|^(1/k), and |c_k| < 2^b for b its bit length, so
+    2^ceil(b/k) bounds |c_k|^(1/k) with no k-th root computed.
     """
     assert coeffs[0] == 1
-    bound = 1 + max(abs(c) for c in coeffs)
+    bound = 2 * max((1 << -(-abs(c).bit_length() // k)
+                     for k, c in enumerate(coeffs[1:], 1)), default=1)
     regions = [(-bound, bound, True)]
     if len(coeffs) == 3:
         a = coeffs[1]

@@ -10,7 +10,7 @@ built only from three generators, whose relations prove its order.
 from functools import lru_cache
 
 from .errors import CongruenceViolation
-from .matgroup import Mat, MatrixGroup, mat_mul, mat_pow
+from .matgroup import IDENT, Mat, MatrixGroup, mat_mul, mat_pow
 from .modfield import epsilon, generator, validate_modulus, _cube_set
 
 # ---- closed-form element sets ----
@@ -38,16 +38,31 @@ def _nonsplit_reflected_elements(r: int) -> list[Mat]:
 
 @lru_cache(maxsize=None)
 def _nonsplit_generator(r: int) -> Mat:
-    """Lex-first element of multiplicative order r^2 - 1 in the nonsplit torus."""
+    """Lex-first element of multiplicative order r^2 - 1 in the nonsplit torus.
+
+    The torus has order r^2 - 1, so by Lagrange an element's order divides
+    it, and is all of it exactly when m^((r^2 - 1)/p) is not the identity
+    for each prime p dividing r^2 - 1.
+    """
     full = r * r - 1
+    cofactors = [full // p for p in _prime_divisors(full)]
     for m in sorted(_nonsplit_elements(r)):
-        k, x = 1, m
-        while x != (1, 0, 0, 1):
-            x = mat_mul(x, m, r)
-            k += 1
-        if k == full:
+        if all(mat_pow(m, k, r) != IDENT for k in cofactors):
             return m
     raise AssertionError("nonsplit torus has no generator")  # unreachable
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---- public constructors ----

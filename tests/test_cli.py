@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from isogate.cli import main
+from isogate.modfield import supported_moduli
 
 
 def test_verify_single_claim(capsys):
@@ -314,3 +316,60 @@ def test_debug_prints_traceback_of_known_errors(capsys):
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "error:" in err
+
+
+# ---- pinned report bytes ----
+# sha256 of json.dumps(..., sort_keys=True) of the reports with elapsed_ms
+# dropped; any change to a computed value, a status, an expectation or the
+# report layout changes the digest
+
+_ALL_PRIMES = [str(r) for r in supported_moduli()]
+_G3_PRIMES = [str(r) for r in supported_moduli() if r % 3 == 2]
+_PINNED = {
+    "all": "82fb8500ce88ab12545574bf5ad1391d2d6e8673f343af764ee08db22d4fd1ef",
+    "cartan-lemma": "2f74e3ff5792f982da5bbd70c3c02db0aaeb29af03a2a7476d012aea3b9535de",
+    "g3-orbits": "79627a5261f2bc802aba377a3a18db69e0553c58d74b5be8857649e49f69fde6",
+}
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _assert_no_floats(node):
+    # an integer or string prints alike on every Python; a float need not
+    if isinstance(node, dict):
+        for value in node.values():
+            _assert_no_floats(value)
+    elif isinstance(node, list):
+        for value in node:
+            _assert_no_floats(value)
+    else:
+        assert not isinstance(node, float), node
+
+
+def _verify_json(tmp_path, argv):
+    out = tmp_path / "reports.json"
+    assert main(["verify", *argv, "--json", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    for rep in reports:
+        assert isinstance(rep.pop("elapsed_ms"), int)
+    _assert_no_floats(reports)
+    return reports
+
+
+def test_verify_all_report_bytes_are_pinned(tmp_path, capsys):
+    reports = _verify_json(tmp_path, ["--all"])
+    assert len(reports) == 19
+    assert _digest(reports) == _PINNED["all"]
+
+
+@pytest.mark.parametrize("claim_id, primes", [
+    ("cartan-lemma", _ALL_PRIMES),
+    ("g3-orbits", _G3_PRIMES),
+])
+def test_line_claim_values_are_pinned_at_every_covered_prime(tmp_path, capsys, claim_id, primes):
+    (report,) = _verify_json(tmp_path, ["--claim", claim_id, "--r", *primes])
+    assert report["status"] == "pass"
+    assert sorted(report["computed"], key=int) == primes
+    assert _digest(report["computed"]) == _PINNED[claim_id]

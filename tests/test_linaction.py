@@ -8,11 +8,11 @@ from isogate.linaction import (acts_freely, fixed_lines, orbits,
                                projective_image, _apply, _line_key)
 from isogate.matgroup import MatrixGroup, all_gl2, random_gl2
 from isogate.subgroup_enum import subgroup_classes
-from isogate.stdgroups import (borel, nonsplit_cartan,
+from isogate.stdgroups import (KINDS, borel, nonsplit_cartan,
                                nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer,
                                octahedral_group, split_cartan,
-                               split_cartan_normalizer)
+                               split_cartan_normalizer, standard_group)
 
 _GROUPS = [borel(5), borel(7), split_cartan(5), split_cartan(7),
            split_cartan_normalizer(5), split_cartan_normalizer(7),
@@ -253,3 +253,52 @@ def test_projective_kind_matches_reference(r):
         img = projective_image(g)
         assert img.order == len(img.permutations)
         assert img.kind == _reference_kind(img.permutations, r), g
+
+
+# ---- orbits on integer codes against the search over tuples ----
+
+def _tuple_orbits(group):
+    """The orbit search over vector tuples that orbits() replaced, kept as its oracle."""
+    r = group.r
+    gens = group.generators
+    remaining = {(x, y) for x in range(r) for y in range(r)} - {(0, 0)}
+    parts = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                w = _apply(g, v, r)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        parts.append(frozenset(orbit))
+        remaining -= orbit
+    parts.sort(key=lambda s: (len(s), min(s)))
+    return tuple(parts), tuple(len(s) for s in parts)
+
+
+def _assert_same_orbits(group):
+    dec = orbits(group)
+    # fields, not the dataclass: a second module copy makes equality fail
+    assert (dec.orbits, dec.sizes) == _tuple_orbits(group), (group.r, group.generators)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbits_match_the_tuple_search_on_every_kind(kind):
+    for r in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if kind == "cube_split" and r % 3 != 1:
+            continue
+        group = standard_group(kind, r)
+        _assert_same_orbits(group)
+        _assert_same_orbits(group.sl2_part())
+
+
+def test_orbits_match_the_tuple_search_on_random_closures():
+    rng = random.Random(2025)
+    for _ in range(200):
+        r = rng.choice((3, 5, 7, 11))
+        gens = [random_gl2(rng, r) for _ in range(rng.randint(1, 3))]
+        _assert_same_orbits(MatrixGroup.close(gens, r))

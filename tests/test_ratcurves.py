@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -159,6 +160,99 @@ def test_rational_roots_cubic():
     assert rational_roots_cubic(8, -36, 54, -27) == [Fraction(3, 2)]  # (2x-3)^3
     assert family_membership(0) == (-16,)  # (t+16)^3
 
+
+
+def _roots_in_cauchy_range(coeffs):
+    """The integer-root search as it was with the Cauchy range +-(1 + max|c|), kept as the oracle."""
+    bound = 1 + max(abs(c) for c in coeffs)
+    regions = [(-bound, bound, True)]
+    if len(coeffs) == 3:
+        a = coeffs[1]
+        vertex_floor = (-a) // 2
+        vertex_ceil = vertex_floor if a % 2 == 0 else vertex_floor + 1
+        regions = [(-bound, vertex_floor, False), (vertex_ceil, bound, True)]
+    elif len(coeffs) == 4:
+        a, b = coeffs[1], coeffs[2]
+        d = a * a - 3 * b
+        if d > 0:
+            lo_floor, lo_int = ratcurves._crit_floor(a, d, -1)
+            hi_floor, hi_int = ratcurves._crit_floor(a, d, +1)
+            lo_ceil = lo_floor if lo_int else lo_floor + 1
+            hi_ceil = hi_floor if hi_int else hi_floor + 1
+            regions = [(-bound, lo_floor, True),
+                       (lo_ceil, hi_floor, False),
+                       (hi_ceil, bound, True)]
+    roots = set()
+    for lo, hi, increasing in regions:
+        root = ratcurves._monotone_integer_root(coeffs, lo, hi, increasing)
+        if root is not None:
+            roots.add(root)
+    return sorted(roots)
+
+
+def _monic_from_roots(roots):
+    coeffs = [1]
+    for t in roots:
+        coeffs = [a - t * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _root_search_cases(rng):
+    yield [1]
+    for _ in range(3000):
+        yield [1] + [rng.randint(-100, 100) for _ in range(rng.randint(1, 3))]
+    for _ in range(3000):
+        top = 10 ** rng.randint(0, 15)
+        roots = [rng.randint(-top, top) for _ in range(rng.randint(1, 3))]
+        yield _monic_from_roots(roots)
+    for _ in range(1500):
+        # one planted root times a random monic factor
+        t = rng.randint(-10 ** 15, 10 ** 15)
+        rest = [1] + [rng.randint(-10 ** 12, 10 ** 12) for _ in range(rng.randint(0, 2))]
+        yield [a - t * b for a, b in zip(rest + [0], [0] + rest)]
+    for _ in range(2000):
+        yield [1] + [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(1, 3))]
+    for _ in range(500):
+        t = rng.randint(-10 ** rng.randint(0, 15), 10 ** 15)
+        yield _monic_from_roots([t, t, t])
+
+
+def test_integer_roots_match_the_cauchy_range_search():
+    rng = random.Random(2507)
+    count = 0
+    for coeffs in _root_search_cases(rng):
+        assert ratcurves._integer_roots(coeffs) == _roots_in_cauchy_range(coeffs), coeffs
+        count += 1
+    assert count >= 10 ** 4
+
+
+def test_integer_roots_find_planted_roots():
+    rng = random.Random(2508)
+    for _ in range(500):
+        roots = [rng.randint(-10 ** 15, 10 ** 15) for _ in range(rng.randint(1, 3))]
+        assert ratcurves._integer_roots(_monic_from_roots(roots)) == sorted(set(roots))
+    for t in (-10 ** 15, -1, 0, 1, 2, 10 ** 15):
+        assert ratcurves._integer_roots(_monic_from_roots([t, t, t])) == [t]
+
+
+def test_curve_model_stores_its_discriminant_outside_the_fields():
+    rng = random.Random(2509)
+    for _ in range(100):
+        a = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(5)]
+        try:
+            curve = CurveModel(*a)
+        except SingularCurve:
+            continue
+        b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+        assert curve.discriminant() == -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    assert [f.name for f in dataclasses.fields(CurveModel)] == ["a1", "a2", "a3", "a4", "a6"]
+    one, two = CurveModel.short(1, 0), CurveModel.short(1, 0)
+    assert one == two and hash(one) == hash(two)
+    assert one != CurveModel.short(-1, 0)
+    assert hash(one) == hash((Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+    assert repr(one) == ("CurveModel(a1=Fraction(0, 1), a2=Fraction(0, 1), a3=Fraction(0, 1), "
+                         "a4=Fraction(1, 1), a6=Fraction(0, 1))")
+    assert dataclasses.replace(one, a4=-1).discriminant() == 64
 
 def test_factor_positive_matches_sympy():
     sympy = pytest.importorskip("sympy")

@@ -2,9 +2,10 @@ import pytest
 
 from isogate.errors import CongruenceViolation
 from isogate.linaction import projective_image
-from isogate.matgroup import MatrixGroup, are_conjugate, is_applicable
+from isogate.matgroup import IDENT, MatrixGroup, are_conjugate, is_applicable, mat_mul
 from isogate.modfield import supported_moduli
-from isogate.stdgroups import (KINDS, ORDER_FORMULAS,
+from isogate.stdgroups import (KINDS, ORDER_FORMULAS, _nonsplit_elements,
+                               _nonsplit_generator,
                                borel, cube_ratio_cartan,
                                nonsplit_cartan, nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer,
@@ -140,3 +141,28 @@ def test_cube_extended_structure():
     inside = [m for m in g5 if m in torus]
     assert len(inside) == (5 * 5 - 1) // 3
     assert g5.order == 2 * len(inside)
+
+
+# ---- the nonsplit generator by its prime-divisor order test ----
+
+def _generator_by_multiplying(r):
+    """The lex-first element of order r^2 - 1, each order found by repeated products."""
+    for m in sorted(_nonsplit_elements(r)):
+        k, x = 1, m
+        while x != IDENT:
+            x = mat_mul(x, m, r)
+            k += 1
+        if k == r * r - 1:
+            return m
+
+
+def test_nonsplit_generator_matches_the_multiplying_scan():
+    for r in _SWEEP:
+        assert _nonsplit_generator(r) == _generator_by_multiplying(r), r
+
+
+def test_nonsplit_generator_has_full_order_at_every_supported_prime():
+    for r in supported_moduli():
+        m = _nonsplit_generator(r)
+        assert m in _nonsplit_elements(r)
+        assert MatrixGroup.close((m,), r).order == r * r - 1, r
