@@ -51,7 +51,7 @@ from .ratcurves import (
     two_division_cubic,
     two_torsion_family_j,
 )
-from .stdgroups import standard_group
+from .stdgroups import standard_group, standard_sl2_part
 
 SCHEMA = "isogate-report/1"
 
@@ -210,8 +210,8 @@ def _claim_cartan_lemma(config: Config, moduli) -> tuple[dict, dict]:
             },
         }
         computed[str(r)] = {
-            "split": _line_report(standard_group("cs+", r).sl2_part()),
-            "nonsplit": _line_report(standard_group("cns+", r).sl2_part()),
+            "split": _line_report(standard_sl2_part("cs+", r)),
+            "nonsplit": _line_report(standard_sl2_part("cns+", r)),
         }
     return expected, computed
 
@@ -230,7 +230,7 @@ def _claim_g3_orbits(config: Config, moduli) -> tuple[dict, dict]:
             "orbit_sizes": {str(n): (r * r - 1) // n},
             "fixed_lines": 2 if r == 5 else 0,
         }
-        computed[str(r)] = _line_report(standard_group("g3", r).sl2_part())
+        computed[str(r)] = _line_report(standard_sl2_part("g3", r))
     return expected, computed
 
 

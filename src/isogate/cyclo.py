@@ -111,12 +111,13 @@ def cm_isogeny_over_cyclotomic(j, r: int) -> bool:
 class TwoTorsionDecision:
     """Verdict on full 2-torsion over Q(zeta_r), with the cubic evidence.
 
-    verdict is "yes", "no", or "undetermined_cyclic_cubic".  The last marks
-    an irreducible 2-division cubic with square discriminant when 3 divides
-    r - 1: the splitting field is then a cyclic cubic that sampling cannot
-    place inside or outside Q(zeta_r), so split_samples records the root
-    count of the cubic modulo the first few primes q = 1 (mod r) instead of
-    guessing.
+    verdict is "yes", "no", or "undetermined_cyclic_cubic".  For an
+    irreducible 2-division cubic with square discriminant when 3 divides
+    r - 1, split_samples records the root count of the cubic modulo the
+    first few primes q = 1 (mod r): a sample with fewer than three roots at
+    a q prime to the discriminant proves "no", and five samples with three
+    roots each leave "undetermined_cyclic_cubic", since sampling cannot
+    place the cyclic cubic field inside Q(zeta_r).
     """
 
     verdict: str
@@ -132,8 +133,7 @@ def _cubic_int_model(j) -> tuple[int, int]:
     return int(curve.a4 * s ** 4), int(curve.a6 * s ** 6)
 
 
-def _split_samples(j, r: int) -> tuple[tuple[int, int], ...]:
-    a, b = _cubic_int_model(j)
+def _split_samples(a: int, b: int, r: int) -> tuple[tuple[int, int], ...]:
     samples = []
     q = 1
     while len(samples) < 5 and q < 10 ** 6:
@@ -153,7 +153,12 @@ def full_two_torsion_over_cyclotomic(j, r: int) -> TwoTorsionDecision:
     landing in {1, r*}; an irreducible cubic with nonsquare discriminant has
     S3 splitting field, which no abelian field contains; an irreducible
     cubic with square discriminant cuts out a cyclic cubic, impossible when
-    3 does not divide r - 1 and otherwise left undetermined.
+    3 does not divide r - 1.  Otherwise a prime q = 1 (mod r) splits
+    completely in Q(zeta_r), so in the cubic field if Q(zeta_r) contains
+    it, and then, for q prime to the discriminant -4a^3 - 27b^2 of the
+    integral model x^3 + ax + b, Dedekind-Kummer gives the cubic three
+    roots mod q.  A sampled q prime to the discriminant with fewer roots
+    proves "no"; without one the verdict is left undetermined.
     """
     validate_modulus(r)
     cubic = two_division_cubic(j)
@@ -166,6 +171,9 @@ def full_two_torsion_over_cyclotomic(j, r: int) -> TwoTorsionDecision:
         return TwoTorsionDecision("no", r, cubic)
     if (r - 1) % 3 != 0:
         return TwoTorsionDecision("no", r, cubic)
-    return TwoTorsionDecision(
-        "undetermined_cyclic_cubic", r, cubic, _split_samples(j, r)
-    )
+    a, b = _cubic_int_model(j)
+    disc = -4 * a ** 3 - 27 * b ** 2
+    samples = _split_samples(a, b, r)
+    excluded = any(n != 3 and disc % q for q, n in samples)
+    verdict = "no" if excluded else "undetermined_cyclic_cubic"
+    return TwoTorsionDecision(verdict, r, cubic, samples)

@@ -35,10 +35,12 @@ def orbits(group: MatrixGroup) -> OrbitDecomposition:
     a permutation of the r^2 codes.  Codes ascend in the order of the
     tuples they stand for, so scanning seeds by code takes the least
     vector not yet reached, and the parts and their (size, least vector)
-    order are those of a search over tuples.
+    order are those of a search over tuples.  The vectors are read back
+    from one code -> (x, y) table.
     """
     r = group.r
     perms = [_code_permutation(g, r) for g in group.generators]
+    vectors = [(x, y) for x in range(r) for y in range(r)]
     seen = [False] * (r * r)
     seen[0] = True
     parts = []
@@ -56,7 +58,7 @@ def orbits(group: MatrixGroup) -> OrbitDecomposition:
                     seen[w] = True
                     orbit.append(w)
                     frontier.append(w)
-        parts.append((len(orbit), seed, frozenset(divmod(w, r) for w in orbit)))
+        parts.append((len(orbit), seed, frozenset(map(vectors.__getitem__, orbit))))
     parts.sort()
     return OrbitDecomposition(tuple(s for _, _, s in parts),
                               tuple(n for n, _, _ in parts))

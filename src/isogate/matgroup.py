@@ -411,9 +411,14 @@ class MatrixGroup:
         return frozenset(mat_det(m, self.r) for m in self.elements)
 
     def sl2_part(self) -> "MatrixGroup":
-        """Determinant-1 subgroup, with a generating set recomputed by closure."""
+        """Determinant-1 subgroup, with a generating set recomputed by closure.
+
+        stdgroups.standard_sl2_part builds this from closed forms for the
+        Cartan normalizers and g3.
+        """
         r = self.r
-        return MatrixGroup(r, [m for m in self.elements if mat_det(m, r) == 1])
+        return MatrixGroup(r, [m for m in self.elements
+                               if (m[0] * m[3] - m[1] * m[2]) % r == 1])
 
     def conjugate_by(self, m: Mat) -> "MatrixGroup":
         r = self.r

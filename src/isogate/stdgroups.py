@@ -5,6 +5,8 @@ closed-form description, and once by closing a small natural generating
 set.  verify_membership_formula checks the two agree.  The exception is
 the octahedral group, the preimage of a projective S4 at every r: it is
 built only from three generators, whose relations prove its order.
+standard_sl2_part builds the determinant-one parts of the two Cartan
+normalizers and g3 from closed forms, without the whole group.
 """
 
 from functools import lru_cache
@@ -192,6 +194,91 @@ def resolve_kind(kind: str) -> str:
 
 def standard_group(kind: str, r: int) -> MatrixGroup:
     return _BUILDERS[resolve_kind(kind)](r)
+
+
+# ---- determinant-one parts in closed form ----
+
+
+def _norm_fibres(r: int) -> tuple[list[Mat], list[Mat]]:
+    """The torus elements (a, eps b, b, a) of norm N = a^2 - eps b^2 = 1 and of N = -1.
+
+    For each b the a with a^2 = eps b^2 + N are read from a square-root table.
+    """
+    e = epsilon(r)
+    roots: dict[int, list[int]] = {}
+    for a in range(r):
+        roots.setdefault(a * a % r, []).append(a)
+    return tuple([(a, e * b % r, b, a)
+                  for b in range(r) for a in roots.get((e * b * b + n) % r, ())]
+                 for n in (1, -1))
+
+
+def _with_reflected(one: list[Mat], minus_one: list[Mat], r: int) -> MatrixGroup:
+    """The group of the c in one and the diag(1, -1) c for the c in minus_one."""
+    j: Mat = (1, 0, 0, r - 1)
+    return MatrixGroup(r, one + [mat_mul(j, c, r) for c in minus_one])
+
+
+def _split_normalizer_sl2(r: int) -> MatrixGroup:
+    inv = [0] + [pow(a, -1, r) for a in range(1, r)]
+    elements = ([(a, 0, 0, inv[a]) for a in range(1, r)]
+                + [(0, a, r - inv[a], 0) for a in range(1, r)])
+    g = generator(r)
+    return MatrixGroup(r, elements, ((g, 0, 0, inv[g]), (0, 1, r - 1, 0)))
+
+
+def _nonsplit_normalizer_sl2(r: int) -> MatrixGroup:
+    return _with_reflected(*_norm_fibres(r), r)
+
+
+def _cubes_extended_sl2(r: int) -> MatrixGroup:
+    fibres = _norm_fibres(r)
+    if r != 3:
+        k = (r * r - 1) // 3
+        fibres = [[c for c in fibre if mat_pow(c, k, r) == IDENT] for fibre in fibres]
+    return _with_reflected(*fibres, r)
+
+
+_SL2_BUILDERS = {
+    "split_cartan_normalizer": _split_normalizer_sl2,
+    "nonsplit_cartan_normalizer": _nonsplit_normalizer_sl2,
+    "g3": _cubes_extended_sl2,
+}
+
+
+def standard_sl2_part(kind: str, r: int) -> MatrixGroup:
+    """standard_group(kind, r).sl2_part(), built from closed forms without the whole group.
+
+    Covers the split and nonsplit Cartan normalizers and g3, under the
+    names and aliases standard_group accepts; any other kind raises
+    KeyError.  Write eps = epsilon(r), j = diag(1, -1) and N(c) = a^2 - eps b^2
+    for the torus element c = (a, eps b, b, a), so det c = N(c) and
+    det(j c) = -N(c).
+
+    - Split: the normalizer is the diagonal diag(a, d) and antidiagonal
+      antidiag(b, c) matrices, of determinants ad and -bc.  Determinant 1
+      leaves diag(a, 1/a) and antidiag(a, -1/a), a in F_r^*: order 2(r - 1).
+    - Nonsplit: the normalizer is the torus C and its reflected coset jC
+      (the builder's (c, eps d, -d, -c) is j(c, eps d, d, c)).  Determinant
+      1 leaves {c : N(c) = 1} and {jc : N(c) = -1}.  C is F_(r^2)^* and N is
+      x -> x^(r+1), onto F_r^*, so each fibre has r + 1 elements: order
+      2(r + 1).
+    - g3: the builder's group is the cubes of C and their reflections j c,
+      so determinant 1 leaves {c cube : N(c) = 1} and {jc : c cube,
+      N(c) = -1}.  C is cyclic of order r^2 - 1; when 3 divides it, the
+      cubes are the kernel of c -> c^((r^2 - 1)/3).  At r = 3 it does
+      not, cubing is a bijection of C, and every element is a cube.
+
+    The nonsplit and g3 parts take the greedy generating subset of their
+    elements; the split part is generated by diag(g, 1/g), g =
+    generator(r), and antidiag(1, -1).
+    """
+    name = _ALIASES.get(kind, kind)
+    if name not in _SL2_BUILDERS:
+        raise KeyError(f"no closed-form SL2 part for {kind!r}; "
+                       f"covered: {', '.join(sorted(_SL2_BUILDERS))}")
+    validate_modulus(r)
+    return _SL2_BUILDERS[name](r)
 
 
 # order formulas, checked against construction in the test suite

@@ -140,7 +140,9 @@ def test_full_two_torsion_one_root_no():
 
 def test_full_two_torsion_undetermined():
     d = full_two_torsion_over_cyclotomic(1729, 13)
-    assert d.verdict == "undetermined_cyclic_cubic"
+    # 53 = 1 (mod 13) is prime to the discriminant and the cubic has no
+    # root mod 53, so its cyclic cubic field is not inside Q(zeta_13)
+    assert d.verdict == "no"
     assert d.cubic.shape == "irreducible"
     assert d.cubic.disc_class == 1
     # root counts of the cubic mod the first primes q = 1 (mod 13); a cyclic
@@ -149,6 +151,34 @@ def test_full_two_torsion_undetermined():
     assert all(n in (0, 3) for _, n in d.split_samples)
     # same cubic viewed at r = 5: 3 does not divide r - 1, so the verdict closes
     assert full_two_torsion_over_cyclotomic(1729, 5).verdict == "no"
+
+
+@pytest.mark.parametrize("j, r", [(1792, 7), (3328, 13)])
+def test_full_two_torsion_stays_undetermined_when_every_sample_splits(j, r):
+    d = full_two_torsion_over_cyclotomic(j, r)
+    assert d.verdict == "undetermined_cyclic_cubic"
+    assert (d.cubic.shape, d.cubic.disc_class) == ("irreducible", 1)
+    assert len(d.split_samples) == 5
+    assert all(q % r == 1 and n == 3 for q, n in d.split_samples)
+
+
+def test_full_two_torsion_no_only_from_a_sample_prime_to_the_discriminant():
+    # the proof needs q prime to -4a^3 - 27b^2; every "no" from a split
+    # sample names such a q, where a recount finds fewer than three roots
+    from isogate.cyclo import _cubic_int_model
+    decided = []
+    for j in (1729, 1792, 3328):
+        for r in (7, 13, 19):
+            d = full_two_torsion_over_cyclotomic(j, r)
+            if d.verdict != "no" or not d.split_samples:
+                continue
+            a, b = _cubic_int_model(j)
+            disc = -4 * a ** 3 - 27 * b ** 2
+            witnesses = [q for q, _ in d.split_samples if disc % q and q % r == 1
+                         and sum((x ** 3 + a * x + b) % q == 0 for x in range(q)) < 3]
+            assert witnesses, (j, r)
+            decided.append((j, r))
+    assert (1729, 13) in decided
 
 
 def test_twist_invariance_by_construction_bullet():

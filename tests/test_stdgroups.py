@@ -11,7 +11,7 @@ from isogate.stdgroups import (KINDS, ORDER_FORMULAS, _nonsplit_elements,
                                nonsplit_cartan_normalizer,
                                octahedral_group, resolve_kind, split_cartan,
                                split_cartan_normalizer, standard_group,
-                               verify_membership_formula)
+                               standard_sl2_part, verify_membership_formula)
 
 _SWEEP = tuple(r for r in supported_moduli() if r <= 37)
 
@@ -166,3 +166,44 @@ def test_nonsplit_generator_has_full_order_at_every_supported_prime():
         m = _nonsplit_generator(r)
         assert m in _nonsplit_elements(r)
         assert MatrixGroup.close((m,), r).order == r * r - 1, r
+
+
+# ---- determinant-one parts from their closed forms ----
+
+_SL2_KINDS = ("split_cartan_normalizer", "nonsplit_cartan_normalizer", "g3")
+
+
+def test_standard_sl2_part_matches_the_filtered_group_at_every_supported_prime():
+    for r in supported_moduli():
+        for kind in _SL2_KINDS:
+            part = standard_sl2_part(kind, r)
+            assert part == standard_group(kind, r).sl2_part(), (kind, r)
+            assert MatrixGroup.close(part.generators, r) == part, (kind, r)
+        assert standard_sl2_part("cs+", r).order == 2 * (r - 1)
+        assert standard_sl2_part("cns+", r).order == 2 * (r + 1)
+
+
+def test_standard_sl2_part_accepts_the_aliases():
+    for alias, kind in (("cs+", "split_cartan_normalizer"),
+                        ("cns+", "nonsplit_cartan_normalizer")):
+        assert standard_sl2_part(alias, 11) == standard_sl2_part(kind, 11)
+
+
+@pytest.mark.parametrize("kind", ["borel", "cs", "cns", "octahedral", "cube", "weil"])
+def test_standard_sl2_part_rejects_other_kinds(kind):
+    with pytest.raises(KeyError, match="g3"):
+        standard_sl2_part(kind, 7)
+
+
+def test_line_claims_build_no_whole_group(monkeypatch):
+    from isogate import claims, stdgroups
+    from isogate.claims import run_claim
+
+    def refuse(*args):
+        raise AssertionError("whole group built")
+
+    monkeypatch.setattr(stdgroups, "standard_group", refuse)
+    monkeypatch.setattr(claims, "standard_group", refuse)
+    monkeypatch.setattr(MatrixGroup, "sl2_part", refuse)
+    for claim in ("cartan-lemma", "g3-orbits"):
+        assert run_claim(claim).status == "pass", claim
