@@ -40,6 +40,7 @@ from .pointcount import SCAN_BOUND
 from .ratcurves import (
     SAMPLE_BOUND,
     CurveModel,
+    _poly_eval,
     certificate_criteria,
     curve_from_j,
     disc_square_class_of_j,
@@ -298,16 +299,8 @@ def _claim_exc_family(config: Config, moduli) -> tuple[dict, dict]:
 def _denominator_rational_roots() -> list[Fraction]:
     # both denominator factors are monic, so integer roots dividing the
     # constant term are the only candidates
-    roots = set()
-    for coeffs in ((1, 5, 5), (1, 5, 15, 25, 25)):
-        for n in (1, 5, 25):
-            for t in (n, -n):
-                acc = 0
-                for c in coeffs:
-                    acc = acc * t + c
-                if acc == 0:
-                    roots.add(Fraction(t))
-    return sorted(roots)
+    return sorted({Fraction(t) for coeffs in ((1, 5, 5), (1, 5, 15, 25, 25))
+                   for n in (1, 5, 25) for t in (n, -n) if _poly_eval(coeffs, t) == 0})
 
 
 def _claim_cube_cartan(config: Config, moduli) -> tuple[dict, dict]:
@@ -774,10 +767,14 @@ CRITERION_CLAIMS: dict[int, tuple[str, ...]] = {
 }
 
 
-def claim_description(claim_id: str) -> str:
+def _spec(claim_id: str) -> ClaimSpec:
     if claim_id not in _REGISTRY:
         raise UnknownClaim(f"no claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    return _REGISTRY[claim_id].description
+    return _REGISTRY[claim_id]
+
+
+def claim_description(claim_id: str) -> str:
+    return _spec(claim_id).description
 
 
 def run_claim(
@@ -785,9 +782,7 @@ def run_claim(
     moduli: tuple[int, ...] | None = None,
     config: Config | None = None,
 ) -> ClaimReport:
-    if claim_id not in _REGISTRY:
-        raise UnknownClaim(f"no claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    spec = _REGISTRY[claim_id]
+    spec = _spec(claim_id)
     if moduli and spec.moduli_rule is None:
         raise ValueError(f"claim {claim_id} does not take a moduli list")
     for r in moduli or ():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .errors import NotCmCurve
@@ -53,7 +54,8 @@ class CmRecord:
             raise ValueError(f"not an imaginary quadratic discriminant: {d}")
 
 
-def _load_cm_table() -> tuple[CmRecord, ...]:
+@cache
+def cm_table() -> tuple[CmRecord, ...]:
     blob = resources.files("isogate.data").joinpath(_CM_TABLE_FILE).read_bytes()
     digest = hashlib.sha256(blob).hexdigest()
     if digest != _CM_TABLE_SHA256:
@@ -72,16 +74,6 @@ def _load_cm_table() -> tuple[CmRecord, ...]:
     if len({rec.j for rec in records}) != len(records):
         raise ValueError("duplicate j-invariant in CM table")
     return tuple(records)
-
-
-_CM_TABLE: tuple[CmRecord, ...] | None = None
-
-
-def cm_table() -> tuple[CmRecord, ...]:
-    global _CM_TABLE
-    if _CM_TABLE is None:
-        _CM_TABLE = _load_cm_table()
-    return _CM_TABLE
 
 
 def cm_field_discriminant(j) -> int | None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from itertools import islice
 
@@ -33,8 +33,8 @@ from .errors import BadReduction, NoValidPrimes
 from .modfield import is_square, validate_modulus
 from .pointcount import SCAN_BOUND, count_by_x_scan
 from .ratcurves import (SAMPLE_BOUND, CubicFactorType, CurveModel, _cubic_shape,
-                        _factor_positive, frobenius_stream, is_probable_prime,
-                        rational_roots_cubic)
+                        _divide_out, _factor_positive, frobenius_stream,
+                        is_probable_prime, rational_roots_cubic)
 
 _CURVE_FILE = "x0_curves.txt"
 _POINT_CAP = 16  # order search cutoff; rational torsion orders stay below it
@@ -188,13 +188,6 @@ def _points_mod(coeffs: tuple[int, ...], q: int):
             yield (x, (root - a1 * x - a3) * half % q)
 
 
-def _valuation(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n, v = n // ell, v + 1
-    return v
-
-
 def primary_structure(model: CurveModel, q: int, ell: int,
                       count: int) -> tuple[int, int]:
     """Exponents (a, b), a <= b, with E(F_q)[ell^oo] = Z/ell^a x Z/ell^b.
@@ -206,11 +199,10 @@ def primary_structure(model: CurveModel, q: int, ell: int,
     generate the ell-part, and its exponent ell^b is the largest order
     among those generators.  count is #E(F_q).
     """
-    v = _valuation(count, ell)
-    if min(v // 2, _valuation(q - 1, ell)) == 0:
+    cofactor, v = _divide_out(count, ell)
+    if min(v // 2, _divide_out(q - 1, ell)[1]) == 0:
         return 0, v
     coeffs = tuple(int(c) % q for c in model.coefficients())
-    cofactor = count // ell ** v
     group: set[ModPoint] = {None}
     b = 0
     for pt in _points_mod(coeffs, q):
@@ -383,14 +375,9 @@ def _validate_curve(curve: NamedCurve) -> None:
                 raise ValueError(f"{curve.label}: Hasse violation at {q}")
 
 
-_CURVES: dict[str, NamedCurve] | None = None
-
-
+@cache
 def named_curves() -> dict[str, NamedCurve]:
-    global _CURVES
-    if _CURVES is None:
-        _CURVES = _load_curves()
-    return _CURVES
+    return _load_curves()
 
 
 def named_curve(label: str) -> NamedCurve:

@@ -186,13 +186,7 @@ def _brent_rho(n: int, c: int, max_iters: int):
 def _factor_positive(n: int) -> dict[int, int]:
     """Prime exponents of n >= 1: trial division below 2000, then Miller-Rabin,
     square roots and Brent's rho; FactorizationIncomplete past rho's effort cap."""
-    out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    out, n = _trial_divide(n)
     if n == 1:
         return out
     stack = [(n, 1)]
@@ -219,14 +213,28 @@ def _factor_positive(n: int) -> dict[int, int]:
     return out
 
 
-def _divide_out(n: int, p: int) -> tuple[int, bool]:
-    """n with every factor p taken out, and whether p divided it an odd
-    number of times."""
-    odd = False
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """n with every factor p taken out, and the exponent of p in n."""
+    e = 0
     while n % p == 0:
         n //= p
-        odd = not odd
-    return n, odd
+        e += 1
+    return n, e
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Exponents of the primes below 2000 that divide n >= 1, and the cofactor.
+
+    Stops once p^2 exceeds the cofactor, which is then 1 or a prime (it may
+    be below 2000).
+    """
+    out: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n, out[p] = _divide_out(n, p)
+    return out, n
 
 
 def _icbrt(m: int) -> int:
@@ -258,8 +266,8 @@ def _cofactor_class(m: int) -> int:
     primes = prime_array(_icbrt(m))[len(_TRIAL_PRIMES):]
     out = 1
     for p in primes[np.remainder(m, primes) == 0].tolist():
-        m, odd = _divide_out(m, p)
-        out *= p if odd else 1
+        m, e = _divide_out(m, p)
+        out *= p if e % 2 else 1
     root = math.isqrt(m)
     return out if root * root == m else out * m
 
@@ -271,13 +279,8 @@ def _squarefree_int(n: int) -> int:
     Memoised on the integer, so a class asked for twice (as an int and as
     an equal Fraction, say) is computed once.
     """
-    out = 1
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        n, odd = _divide_out(n, p)
-        out *= p if odd else 1
-    return out * _cofactor_class(n)
+    exponents, m = _trial_divide(n)
+    return math.prod(p for p, e in exponents.items() if e % 2) * _cofactor_class(m)
 
 
 def squarefree_part(q: Rational) -> int:

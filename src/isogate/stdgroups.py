@@ -14,6 +14,7 @@ from functools import lru_cache
 from .errors import CongruenceViolation
 from .matgroup import IDENT, Mat, MatrixGroup, mat_mul, mat_pow
 from .modfield import epsilon, generator, validate_modulus, _cube_set
+from .ratcurves import _factor_positive
 
 # ---- closed-form element sets ----
 
@@ -32,12 +33,6 @@ def _nonsplit_elements(r: int) -> list[Mat]:
             for a in range(r) for b in range(r) if (a, b) != (0, 0)]
 
 
-def _nonsplit_reflected_elements(r: int) -> list[Mat]:
-    e = epsilon(r)
-    return [(c, e * d % r, -d % r, -c % r)
-            for c in range(r) for d in range(r) if (c, d) != (0, 0)]
-
-
 @lru_cache(maxsize=None)
 def _nonsplit_generator(r: int) -> Mat:
     """Lex-first element of multiplicative order r^2 - 1 in the nonsplit torus.
@@ -47,24 +42,17 @@ def _nonsplit_generator(r: int) -> Mat:
     for each prime p dividing r^2 - 1.
     """
     full = r * r - 1
-    cofactors = [full // p for p in _prime_divisors(full)]
+    cofactors = [full // p for p in _factor_positive(full)]
     for m in sorted(_nonsplit_elements(r)):
         if all(mat_pow(m, k, r) != IDENT for k in cofactors):
             return m
     raise AssertionError("nonsplit torus has no generator")  # unreachable
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _reflected(one: list[Mat], minus_one: list[Mat], r: int) -> list[Mat]:
+    """The c in one, then diag(1, -1) c for the c in minus_one."""
+    j: Mat = (1, 0, 0, r - 1)
+    return one + [mat_mul(j, c, r) for c in minus_one]
 
 
 # ---- public constructors ----
@@ -98,8 +86,9 @@ def nonsplit_cartan(r: int) -> MatrixGroup:
 
 def nonsplit_cartan_normalizer(r: int) -> MatrixGroup:
     validate_modulus(r)
-    elements = _nonsplit_elements(r) + _nonsplit_reflected_elements(r)
-    return MatrixGroup(r, elements, (_nonsplit_generator(r), (1, 0, 0, r - 1)))
+    torus = _nonsplit_elements(r)
+    generators = (_nonsplit_generator(r), (1, 0, 0, r - 1))
+    return MatrixGroup(r, _reflected(torus, torus, r), generators)
 
 
 def nonsplit_cartan_cubes_extended(r: int) -> MatrixGroup:
@@ -110,9 +99,8 @@ def nonsplit_cartan_cubes_extended(r: int) -> MatrixGroup:
     """
     validate_modulus(r)
     cubes = sorted({mat_pow(m, 3, r) for m in _nonsplit_elements(r)})
-    j: Mat = (1, 0, 0, r - 1)
-    elements = cubes + [mat_mul(j, m, r) for m in cubes]
-    return MatrixGroup(r, elements, (mat_pow(_nonsplit_generator(r), 3, r), j))
+    generators = (mat_pow(_nonsplit_generator(r), 3, r), (1, 0, 0, r - 1))
+    return MatrixGroup(r, _reflected(cubes, cubes, r), generators)
 
 
 def cube_ratio_cartan(r: int) -> MatrixGroup:
@@ -213,12 +201,6 @@ def _norm_fibres(r: int) -> tuple[list[Mat], list[Mat]]:
                  for n in (1, -1))
 
 
-def _with_reflected(one: list[Mat], minus_one: list[Mat], r: int) -> MatrixGroup:
-    """The group of the c in one and the diag(1, -1) c for the c in minus_one."""
-    j: Mat = (1, 0, 0, r - 1)
-    return MatrixGroup(r, one + [mat_mul(j, c, r) for c in minus_one])
-
-
 def _split_normalizer_sl2(r: int) -> MatrixGroup:
     inv = [0] + [pow(a, -1, r) for a in range(1, r)]
     elements = ([(a, 0, 0, inv[a]) for a in range(1, r)]
@@ -228,7 +210,7 @@ def _split_normalizer_sl2(r: int) -> MatrixGroup:
 
 
 def _nonsplit_normalizer_sl2(r: int) -> MatrixGroup:
-    return _with_reflected(*_norm_fibres(r), r)
+    return MatrixGroup(r, _reflected(*_norm_fibres(r), r))
 
 
 def _cubes_extended_sl2(r: int) -> MatrixGroup:
@@ -236,7 +218,7 @@ def _cubes_extended_sl2(r: int) -> MatrixGroup:
     if r != 3:
         k = (r * r - 1) // 3
         fibres = [[c for c in fibre if mat_pow(c, k, r) == IDENT] for fibre in fibres]
-    return _with_reflected(*fibres, r)
+    return MatrixGroup(r, _reflected(*fibres, r))
 
 
 _SL2_BUILDERS = {

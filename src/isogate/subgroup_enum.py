@@ -78,8 +78,8 @@ _ALL_THREE = SPLIT | NONSPLIT | LARGE_ORDER
 
 
 @lru_cache(maxsize=None)
-def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
-    """Serre's bits by trace-det key (modfield.serre_bits), and the same per kernel code.
+def _serre_tables(r: int) -> np.ndarray:
+    """Serre's bits (modfield.serre_bits) per kernel code, read-only.
 
     A matrix with the LARGE_ORDER bit has u = tr^2 / det outside
     {0, 1, 2, 4} and u^2 - 3u + 1 != 0, so its image in PGL2 has order
@@ -89,10 +89,9 @@ def _serre_tables(r: int) -> tuple[bytes, np.ndarray]:
     nonsplit Cartan no SPLIT one (off the Cartan the trace is 0), and the
     A4, S4 and A5 preimages no LARGE_ORDER one.
     """
-    by_key = serre_bits(r)
-    by_code = np.frombuffer(by_key, dtype=np.uint8)[_kernel(r).trace_det]
+    by_code = np.frombuffer(serre_bits(r), dtype=np.uint8)[_kernel(r).trace_det]
     by_code.flags.writeable = False
-    return by_key, by_code
+    return by_code
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -129,7 +128,7 @@ def _closures_capped(group: MatrixGroup, xs, r: int, cap: int) -> list:
     h_codes = group._code_array().astype(np.int32)
     goal, stop = _ALL_THREE, None
     if r >= 5:
-        stop = _serre_tables(r)[1]
+        stop = _serre_tables(r)
         goal &= ~int(np.bitwise_or.reduce(stop[h_codes]))
         if not goal:
             return [False] * len(xs)

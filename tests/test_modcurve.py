@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +407,35 @@ def test_load_rejects_hasse_violation(monkeypatch):
                         lambda model, q: q + 1 + 30 if q == 101 else real(model, q))
     with pytest.raises(ValueError, match="Hasse violation at 101"):
         modcurve._load_curves()
+
+
+_READS_SCRIPT = """
+import collections, json, pathlib
+reads = collections.Counter()
+for method in ("read_bytes", "read_text"):
+    def counting(self, *args, _real=getattr(pathlib.Path, method), **kwargs):
+        reads[self.name] += 1
+        return _real(self, *args, **kwargs)
+    setattr(pathlib.Path, method, counting)
+from isogate.cyclo import cm_table
+from isogate.modcurve import named_curves
+for _ in range(3):
+    cm_table(), named_curves()
+print(json.dumps(reads))
+"""
+
+
+def test_data_tables_are_cached():
+    assert cm_table() is cm_table()
+    assert named_curves() is named_curves()
+    # a cold process reads each data file once, however often it asks
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _READS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    reads = json.loads(out.stdout)
+    assert reads["cm_j_invariants.txt"] == 1 and reads["x0_curves.txt"] == 1, reads
 
 
 def test_validate_curve_checks_torsion_group():

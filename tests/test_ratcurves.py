@@ -15,7 +15,8 @@ from isogate import ratcurves
 from isogate.errors import (InsufficientSamples, SingularCurve, Undecided,
                             ZeroParameter)
 from isogate.matgroup import mat_det, mat_trace
-from isogate.ratcurves import (CurveModel, _brent_rho, _cubic_shape, _factor_positive,
+from isogate.ratcurves import (CurveModel, _brent_rho, _cubic_shape, _divide_out,
+                               _factor_positive, _trial_divide,
                                certificate_criteria,
                                curve_from_j,
                                disc_square_class_of_j, discriminant,
@@ -279,6 +280,47 @@ def test_factor_positive_matches_sympy():
     for n in cases:
         expected = {int(p): e for p, e in sympy.factorint(n).items()}
         assert _factor_positive(n) == expected, n
+
+
+def test_divide_out_matches_a_plain_loop_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(27)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 1999, 2003, 1000003))
+        n = rng.randrange(1, 10 ** 6) * p ** rng.randrange(12)
+        e = max(k for k in range(n.bit_length() + 1) if n % p ** k == 0)
+        assert _divide_out(n, p) == (n // p ** e, e), (n, p)
+        assert e == sympy.multiplicity(p, n)
+
+
+def test_trial_divide_matches_sympy_below_2000():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2000)
+    smooth = [1, 2 ** 7, 12, 3 ** 5 * 1999 ** 2, math.prod(sympy.primerange(2, 60))]
+    # cofactors that end the division early (1 or a prime below 1999^2,
+    # 1999 itself among them) and that leave it running to 2000 (a large
+    # prime, a product of two primes past 2000, a square)
+    early = [1, 1999, 2003, 1000003, int(sympy.prevprime(1999 ** 2))]
+    full = [2003 * 2011, 1000003 * 1000033, 1000000007, 2003 ** 2]
+    full += [int(sympy.nextprime(rng.randrange(1999 ** 2, 10 ** 15))) for _ in range(5)]
+    outcomes = set()
+    for rest in early + full:
+        for n in [s * rest for s in smooth + [rng.choice(smooth) * rng.randrange(1, 10 ** 6)]]:
+            exponents, cofactor = _trial_divide(n)
+            if cofactor < 1999 ** 2:
+                # an early stop, or no factor below 2000 left and too small
+                # for two above it: either way 1 or a prime
+                assert cofactor == 1 or sympy.isprime(cofactor), n
+            outcomes.add("one" if cofactor == 1 else "prime" if cofactor < 1999 ** 2 else "large")
+            below = {int(p): e for p, e in sympy.factorint(n).items() if p < 2000}
+            # a prime cofactor below 2000 is the one factor the early stop leaves
+            if cofactor < 2000 and cofactor != 1:
+                below.pop(cofactor)
+            assert exponents == below, n
+            assert cofactor == n // math.prod(p ** e for p, e in below.items()), n
+    assert outcomes == {"one", "prime", "large"}
+    assert _trial_divide(12 * 1000003) == ({2: 2, 3: 1}, 1000003)
+    assert _trial_divide(4 * 1999) == ({2: 2}, 1999)
 
 
 def _class_from_factors(n):

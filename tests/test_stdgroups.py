@@ -3,7 +3,7 @@ import pytest
 from isogate.errors import CongruenceViolation
 from isogate.linaction import projective_image
 from isogate.matgroup import IDENT, MatrixGroup, are_conjugate, is_applicable, mat_mul
-from isogate.modfield import supported_moduli
+from isogate.modfield import epsilon, supported_moduli
 from isogate.stdgroups import (KINDS, ORDER_FORMULAS, _nonsplit_elements,
                                _nonsplit_generator,
                                borel, cube_ratio_cartan,
@@ -91,6 +91,25 @@ def test_membership_formula():
             assert verify_membership_formula(kind, r), (kind, r)
     with pytest.raises(ValueError):
         verify_membership_formula("octahedral", 13)
+
+
+def test_nonsplit_membership_formulas_at_every_supported_prime():
+    for r in supported_moduli():
+        assert verify_membership_formula("nonsplit_cartan_normalizer", r), r
+        assert verify_membership_formula("g3", r), r
+
+
+def _reflected_torus(r):
+    """The coset diag(1, -1) C of the nonsplit torus C, by its direct formula."""
+    e = epsilon(r)
+    return [(c, e * d % r, -d % r, -c % r)
+            for c in range(r) for d in range(r) if (c, d) != (0, 0)]
+
+
+def test_nonsplit_normalizer_is_the_torus_and_its_reflected_coset():
+    for r in supported_moduli():
+        expected = tuple(sorted(_nonsplit_elements(r) + _reflected_torus(r)))
+        assert nonsplit_cartan_normalizer(r).elements == expected, r
 
 
 def test_kind_resolution():

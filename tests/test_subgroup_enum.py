@@ -16,6 +16,7 @@ from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
                               are_conjugate, gl2_order, is_applicable,
                               is_scalar, mat_det, mat_inv, mat_mul, mat_trace,
                               sl2_order)
+from isogate.modfield import serre_bits
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group, split_cartan_normalizer)
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
@@ -341,7 +342,7 @@ def test_batched_closures_match_plain_closures(r, parent, picks):
 
 @pytest.mark.parametrize("r", (5, 7, 11, 13))
 def test_serre_tables_miss_each_maximal_subgroup(r):
-    by_key, by_code = _serre_tables(r)
+    by_key, by_code = serre_bits(r), _serre_tables(r)
     groups = [borel(r), split_cartan_normalizer(r), nonsplit_cartan_normalizer(r),
               octahedral_group(r)]
     for group in groups:

@@ -1,12 +1,17 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private name is used somewhere in the package.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by a top-level import must appear as a name
 somewhere else in the module.  `__init__.py` is skipped, since its imports
-are the package's re-exports.
+are the package's re-exports.  A private function, class or constant
+(one leading underscore) must be read somewhere in the package outside
+its own definition, as a name or an attribute; a helper whose last caller
+is gone fails here.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import isogate
@@ -40,3 +45,52 @@ def test_no_module_has_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: lines for name, lines in unused.items() if lines} == {}
+
+
+def _private_definitions(tree) -> dict[str, ast.AST]:
+    """The module-level private functions, classes and constants, with their nodes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _reads(node) -> Counter:
+    """How often each name is read in node, as a name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+                   or isinstance(n, ast.Attribute))
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in sorted(trees.items()):
+        for name, node in _private_definitions(tree).items():
+            if reads[name] == _reads(node)[name]:
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_dead_name_detector_ignores_self_reference():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SEEN: set = set()\n"
+                 "def _walk(n):\n    return _walk(n - 1) if n else _LIMIT\n"
+                 "def _used():\n    pass\nclass _Box:\n    pass\n"),
+        "b.py": "from a import _used\nimport a\n_used()\na._SEEN.add(1)\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _walk", "a.py: _Box"]
+
+
+def test_no_module_keeps_a_dead_private_name():
+    sources = {p.name: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
+    assert _dead_private_names(sources) == []
