@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -100,15 +100,8 @@ class ClaimReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "status": self.status,
-            "expected": self.expected,
-            "computed": self.computed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        # the field values themselves: dataclasses.asdict would deep-copy them
+        return {"schema": SCHEMA, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 _SAMPLE_BOUND_RANGE = (3, SCAN_BOUND)
@@ -157,8 +150,7 @@ class Config:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        known = {"sample_bound", "torsion_primes"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**raw)

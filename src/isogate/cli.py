@@ -30,12 +30,6 @@ from .modcurve import named_curve, torsion_bound_cyclotomic
 from .ratcurves import disc_square_class_of_j, parse_rational_expr
 
 
-def _load_config(args) -> Config:
-    if getattr(args, "config", None):
-        return Config.from_json(args.config)
-    return Config()
-
-
 def _check_output_path(path) -> None:
     """Refuse a --json path that cannot be written, before any work starts.
 
@@ -60,7 +54,7 @@ def _cmd_verify(args) -> int:
               f"default moduli", file=sys.stderr)
         return 2
     _check_output_path(args.json)
-    config = _load_config(args)
+    config = Config.from_json(args.config) if args.config else Config()
     if args.all:
         reports = run_all(args.json, config=config)
         return 0 if all(rep.status != "fail" for rep in reports) else 1

@@ -221,21 +221,16 @@ class _Kernel:
 
     # group algorithms
 
-    def closure(self, gen_codes, cap=None, seen=None):
-        """Mask of the subgroup generated by gen_codes; None once its size passes cap.
+    def closure(self, gen_codes, seen: np.ndarray) -> np.ndarray:
+        """Extend the mask seen, in place, to its closure under right products by gen_codes.
 
         Breadth-first search by right multiplication, one frontier at a
-        time.  With seen given, the search starts from every code in it
-        (and updates it in place).
+        time, starting from every code in seen.
         """
         maps = [self.right_map(g) for g in gen_codes]
-        if seen is None:
-            seen = np.zeros(self.n, dtype=bool)
-            seen[self.ident] = True
         if not maps:
             return seen
         frontier = np.flatnonzero(seen)
-        size = len(frontier)
         while len(frontier):
             step = maps[0][frontier] if len(maps) == 1 else \
                 np.concatenate([m[frontier] for m in maps])
@@ -246,9 +241,6 @@ class _Kernel:
             order = np.arange(len(step), dtype=np.int32)
             self._slot[step] = order
             frontier = step[self._slot[step] == order]
-            size += len(frontier)
-            if cap is not None and size > cap:
-                return None
             seen[frontier] = True
         return seen
 
@@ -392,10 +384,6 @@ class MatrixGroup:
         if self._codes is None:
             self._codes = _kernel(self.r).encode(self.elements)
         return self._codes
-
-    def is_subgroup_of(self, other: "MatrixGroup") -> bool:
-        self._require_same_modulus(other)
-        return self._set <= other._set
 
     # invariants
 

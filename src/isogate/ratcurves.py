@@ -31,7 +31,7 @@ prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -304,8 +304,8 @@ class CurveModel:
     a6: Fraction
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, Fraction(getattr(self, f.name)))
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if disc == 0:
@@ -343,15 +343,10 @@ class CurveModel:
         return c4 ** 3 / self.discriminant()
 
     def is_integral(self) -> bool:
-        return all(getattr(self, a).denominator == 1
-                   for a in ("a1", "a2", "a3", "a4", "a6"))
+        return all(a.denominator == 1 for a in self.coefficients())
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-
-def discriminant(curve: CurveModel) -> Fraction:
-    return curve.discriminant()
 
 
 def curve_from_j(j: Rational) -> CurveModel:

@@ -229,7 +229,7 @@ def _normalizer_moves(group: MatrixGroup) -> list[int]:
         moves.append(int(rest[0]))
         seen[rest[0]] = True
         # seen holds H Z, so its closure under <H, moves> is <H, Z, moves>
-        k.closure(hgens + moves, seen=seen)
+        k.closure(hgens + moves, seen)
 
 
 def _times(u, v, r: int):
@@ -418,8 +418,3 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
         levels.append((merged, hit_full, funnel))
     classes, hit_full, funnel = levels[max_generators]
     return ClassInventory(r, max_generators, tuple(classes), hit_full, dict(funnel))
-
-
-def class_counts(r: int, up_to: int) -> list[int]:
-    """Class counts at each generator budget from 1 to up_to."""
-    return [subgroup_classes(r, k).count for k in range(1, up_to + 1)]

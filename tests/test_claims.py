@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from isogate.claims import (CLAIM_IDS, CRITERION_CLAIMS, FAMILY_J, FAMILY_T,
                             claim_description, run_all,
                             run_claim, write_reports)
 from isogate.errors import UnknownClaim
-from isogate.modcurve import named_curve, two_division_shape
+from isogate.modcurve import image_bound, named_curve, two_division_shape
 from isogate.modfield import supported_moduli
 from isogate.ratcurves import (CubicFactorType, CurveModel, curve_from_j,
                                parse_rational_expr, surjectivity_certificates)
@@ -141,6 +142,24 @@ def test_report_to_dict():
     json.dumps(d)  # everything JSON-stable, Fractions already strings
 
 
+def test_report_to_dict_keys_follow_the_fields():
+    rep = ClaimReport("sqrt-rule", {"r": [5, 7]}, "fail", {"5": [1, "2/3"]},
+                      {"5": [1, "1/3"]}, 12)
+    d = rep.to_dict()
+    assert list(d) == ["schema", *(f.name for f in fields(ClaimReport))]
+    # the dict written out by hand before it was derived from the fields
+    assert d == {
+        "schema": "isogate-report/1",
+        "claim_id": rep.claim_id,
+        "params": rep.params,
+        "status": rep.status,
+        "expected": rep.expected,
+        "computed": rep.computed,
+        "elapsed_ms": rep.elapsed_ms,
+    }
+    assert d["params"] is rep.params and d["computed"] is rep.computed  # not copied
+
+
 def test_config(tmp_path):
     c = Config()
     assert c.sample_bound == 10 ** 4
@@ -157,6 +176,17 @@ def test_config(tmp_path):
 
     path.write_text(json.dumps({"sample_bound": 500, "verbose": True}))
     with pytest.raises(ValueError):
+        Config.from_json(str(path))
+
+
+def test_config_keys_follow_the_fields(tmp_path):
+    path = tmp_path / "conf.json"
+    every = {"sample_bound": 500, "torsion_primes": {"X0(11)": [31]}}
+    assert set(every) == {f.name for f in fields(Config)}
+    path.write_text(json.dumps(every))
+    assert Config.from_json(str(path)) == Config(500, {"X0(11)": (31,)})
+    path.write_text(json.dumps({**every, "cap": 7}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['cap'\]"):
         Config.from_json(str(path))
 
 
@@ -262,6 +292,12 @@ def test_surjectivity_negatives_make_no_point_counts(monkeypatch):
         counted.append(q)
         return real(b2, b4, b6, q)
 
+    # the named curves validate themselves by point counts when first
+    # loaded, and X0(11)@5 is read from its rational torsion, whose point
+    # counts sit in an LRU cache that other tests' curves may have evicted:
+    # make both before the count is patched, so the test counts the same
+    # scans alone and after any other test
+    image_bound(named_curve("X0(11)").model, 5)
     monkeypatch.setattr(ratcurves, "count_by_x_scan", counting)
     assert run_claim("surjectivity").status == "pass"
     in_claim, counted[:] = list(counted), []

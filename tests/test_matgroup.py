@@ -67,7 +67,8 @@ def test_close_small():
     assert MatrixGroup.close([IDENT], 7).order == 1
     for r in (5, 13, 17):
         assert MatrixGroup.close([], r).elements == (IDENT,)
-    assert _kernel(5).decode(_kernel(5).members(_kernel(5).closure([], 1))) == [IDENT]
+    k = _kernel(5)
+    assert k.decode(k.members(k.closure([], k.mask([k.ident])))) == [IDENT]
     assert MatrixGroup.close([(0, 1, 4, 0)], 5).order == 4
     with pytest.raises(NonInvertibleMatrix):
         MatrixGroup.close([(1, 2, 2, 4)], 5)
@@ -113,8 +114,8 @@ def test_sl2_part_idempotent_monotone_bullet():
               (nonsplit_cartan(7), nonsplit_cartan_normalizer(7)),
               (split_cartan(5), split_cartan_normalizer(5))]
     for h, g in chains:
-        assert h.is_subgroup_of(g)
-        assert h.sl2_part().is_subgroup_of(g.sl2_part())
+        assert set(h.elements) <= set(g.elements)
+        assert set(h.sl2_part().elements) <= set(g.sl2_part().elements)
 
 
 def test_are_conjugate_examples():
@@ -217,8 +218,8 @@ def test_group_container_protocol():
 
 # ---- the integer-indexed kernel against plain tuple references ----
 
-def _reference_closure(gens, r, cap=None):
-    """Tuple breadth-first closure; None once the size would pass cap."""
+def _reference_closure(gens, r):
+    """Tuple breadth-first closure."""
     seen = {IDENT}
     frontier = [IDENT]
     while frontier:
@@ -226,8 +227,6 @@ def _reference_closure(gens, r, cap=None):
         for g in gens:
             y = mat_mul(x, g, r)
             if y not in seen:
-                if cap is not None and len(seen) >= cap:
-                    return None
                 seen.add(y)
                 frontier.append(y)
     return seen
@@ -257,23 +256,33 @@ def _generator_sets(draw, max_gens=3):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_generator_sets(), st.integers(1, 2100))
-def test_kernel_closure_matches_reference(case, cap):
+@given(_generator_sets())
+def test_kernel_closure_matches_reference(case):
     r, gens = case
     reference = _reference_closure(gens, r)
     group = MatrixGroup.close(gens, r)
     assert group.elements == tuple(sorted(reference))
     assert group.generators == tuple(gens)
     k = _kernel(r)
-    for limit in (cap, len(reference), len(reference) - 1):
-        capped = k.closure([k.code(g) for g in gens], limit)
-        expected = _reference_closure(gens, r, limit)
-        if expected is None:
-            assert capped is None
-        else:
-            assert k.decode(k.members(capped)) == sorted(expected)
+    closed = k.closure([k.code(g) for g in gens], k.mask([k.ident]))
+    assert k.decode(k.members(closed)) == sorted(reference)
     expected_gens = _reference_generating_subset(group.elements, r)
     assert _generating_subset(group.elements, r) == expected_gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets())
+def test_kernel_closure_extends_a_seeded_mask(case):
+    # seeded with H Z, the closure under H's generators and the rest is <H, Z, rest>
+    r, gens = case
+    h_gens, rest = gens[:1], gens[1:]
+    scalars = [(s, 0, 0, s) for s in range(1, r)]
+    h = MatrixGroup.close(h_gens, r)
+    k = _kernel(r)
+    seed = k.mask(k.encode([mat_mul(x, z, r) for x in h.elements for z in scalars]))
+    closed = k.closure([k.code(g) for g in h_gens + rest], seed)
+    assert closed is seed
+    assert k.decode(k.members(closed)) == list(MatrixGroup.close(gens + scalars, r).elements)
 
 
 @settings(max_examples=40, deadline=None)

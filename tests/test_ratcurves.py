@@ -19,7 +19,7 @@ from isogate.ratcurves import (CurveModel, _brent_rho, _cubic_shape, _divide_out
                                _factor_positive, _trial_divide,
                                certificate_criteria,
                                curve_from_j,
-                               disc_square_class_of_j, discriminant,
+                               disc_square_class_of_j,
                                family_membership, format_rational,
                                frobenius_samples, g3_family_j,
                                is_probable_prime, parse_rational_expr,
@@ -85,7 +85,6 @@ def test_curve_model():
     assert CurveModel.short(1, 0).discriminant() == -64
     assert CurveModel.short(0, 1).discriminant() == -432
     assert CurveModel.short(-1, 0).discriminant() == 64
-    assert discriminant(CurveModel.short(1, 0)) == -64
     with pytest.raises(SingularCurve):
         CurveModel.short(0, 0)
     with pytest.raises(SingularCurve):
@@ -130,7 +129,7 @@ def test_disc_identity_bullet():
         if j in (0, 1728):
             continue
         curve = curve_from_j(j)
-        direct = discriminant(curve)
+        direct = curve.discriminant()
         assert direct == -(2 ** 12) * 3 ** 6 * j * j * (1728 - j) ** 3
         # the 2-division cubic's discriminant, whose class two_division_cubic reads
         cubic_disc = -4 * curve.a4 ** 3 - 27 * curve.a6 ** 2

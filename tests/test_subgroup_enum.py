@@ -23,8 +23,7 @@ from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
                                    _dickson_bound, _distinct, _normalizer_moves,
-                                   _serre_tables, class_counts,
-                                   subgroup_classes)
+                                   _serre_tables, subgroup_classes)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -32,12 +31,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def test_counts_r5():
     # one genuinely 3-generated class appears at level 3; level 4 adds
     # nothing, so every conjugacy class is reachable with 3 generators
-    assert class_counts(5, 4) == [15, 46, 47, 47]
+    assert [subgroup_classes(5, k).count for k in range(1, 5)] == [15, 46, 47, 47]
 
 
 def test_counts_r7():
     # stabilizes one level earlier: everything is 2-generated at r = 7
-    assert class_counts(7, 3) == [23, 83, 83]
+    assert [subgroup_classes(7, k).count for k in range(1, 4)] == [23, 83, 83]
 
 
 def test_extra_r5_class_is_not_applicable():
@@ -161,8 +160,8 @@ def test_orbit_reps_match_reference_minima(r, picks):
 
 def test_counts_r11_r13():
     # ROADMAP's reference counts at the two largest kernel moduli
-    assert class_counts(11, 2) == [33, 113]
-    assert class_counts(13, 2) == [47, 212]
+    assert [subgroup_classes(11, k).count for k in (1, 2)] == [33, 113]
+    assert [subgroup_classes(13, k).count for k in (1, 2)] == [47, 212]
 
 
 # ---- level 1 against the label-signature cyclic classes ----
@@ -222,10 +221,17 @@ def test_classes_past_the_bound_contain_sl2(r, k):
     assert any(g.order == bound and g.sl2_part().order < sl2_order(r) for g in classes)
 
 
+def _plain_closure(gens, r):
+    """Sorted codes of <gens>: one uncapped kernel closure seeded with the identity."""
+    kernel = _kernel(r)
+    seed = kernel.mask([kernel.ident])
+    return kernel.members(kernel.closure([kernel.code(g) for g in gens], seed))
+
+
 def _lagrange_capped_levels(r, max_generators):
-    """The extension step without the early exits: plain kernel closures
-    capped at |GL2|/2, each candidate a MatrixGroup deduplicated by
-    are_conjugate."""
+    """The extension step without the early exits: plain kernel closures,
+    any of more than |GL2|/2 elements read as the whole group, each
+    candidate a MatrixGroup deduplicated by are_conjugate."""
     levels = [([MatrixGroup.close([], r)], False)]
     while len(levels) <= max_generators:
         prev_classes, hit_full = levels[-1]
@@ -236,12 +242,10 @@ def _lagrange_capped_levels(r, max_generators):
         for h_group in (g for g in prev_classes if g not in older):
             for x in _candidate_orbit_reps(h_group):
                 gens = h_group.generators + (x,)
-                k = _kernel(r)
-                seen = k.closure([k.code(g) for g in gens], gl2_order(r) // 2)
-                if seen is None:
+                codes = _plain_closure(gens, r)
+                if len(codes) > gl2_order(r) // 2:
                     hit_full = True
                     continue
-                codes = k.members(seen)
                 cand = MatrixGroup._from_codes(r, codes, gens)
                 bucket = pool.setdefault(cand.fingerprint(), [])
                 if not any(are_conjugate(cand, known) for known in bucket):
@@ -283,18 +287,17 @@ def _level_candidates(r, level):
 
 def _assert_matches_plain_closures(h_group, xs, r, cap):
     """Each batched result against its own kernel closure; returns the Serre exits."""
-    kernel = _kernel(r)
     got = _closures_capped(h_group, xs, r, cap)
     assert len(got) == len(xs)
     exits = 0
     for x, codes in zip(xs, got):
         gens = h_group.generators + (x,)
-        plain = kernel.closure([kernel.code(g) for g in gens], cap)
+        plain = _plain_closure(gens, r)
         if codes is None or codes is False:
             exits += codes is False
-            assert plain is None, gens
+            assert len(plain) > cap, gens
         else:
-            assert plain is not None and codes.tolist() == kernel.members(plain).tolist(), gens
+            assert len(plain) <= cap and codes.tolist() == plain.tolist(), gens
             assert codes.dtype == np.int16
     return exits
 
@@ -308,9 +311,7 @@ def test_serre_exits_pass_the_dickson_bound(r, k):
 
 
 def _closed_parent(gens, r):
-    kernel = _kernel(r)
-    codes = kernel.members(kernel.closure([kernel.code(g) for g in gens]))
-    return MatrixGroup._from_codes(r, codes, gens)
+    return MatrixGroup._from_codes(r, _plain_closure(gens, r), gens)
 
 
 @settings(max_examples=30, deadline=None)
@@ -401,15 +402,13 @@ def test_funnel_accounts_for_every_candidate(r, k):
         before = subgroup_classes(r, level - 1).classes if level > 1 else \
             (MatrixGroup.close([], r),)
         assert funnel["new_class"] == inv.count - len(before)
-        # replay the level with plain kernel closures capped at B(r)
-        kernel = _kernel(r)
+        # replay the level with plain kernel closures, compared by size with B(r)
         seen = {g._code_array().tobytes() for g in before}
         tally = {"candidates": 0, "full_group": 0, "sl2": 0, "exact_repeats": 0}
         for gens in _level_candidates(r, level):
             tally["candidates"] += 1
-            closed = kernel.closure([kernel.code(g) for g in gens], bound)
-            codes = None if closed is None else kernel.members(closed)
-            if codes is None:
+            codes = _plain_closure(gens, r)
+            if len(codes) > bound:
                 dets = {1}
                 while True:
                     more = dets | {d * mat_det(g, r) % r for d in dets for g in gens}
