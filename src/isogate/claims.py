@@ -87,7 +87,7 @@ NO_TWO_TORSION_J = (
     "-11*131^3",
 )
 
-_ODD_PRIMES_37 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_ODD_PRIMES_37 = tuple(r for r in supported_moduli() if r <= 37)
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,6 @@ class ClaimReport:
     def to_dict(self) -> dict:
         # the field values themselves: dataclasses.asdict would deep-copy them
         return {"schema": SCHEMA, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-
-_SAMPLE_BOUND_RANGE = (3, SCAN_BOUND)
-
-
-def _bounded_int(name: str, value, lo: int, hi: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def _torsion_prime_lists(raw) -> dict:
@@ -140,7 +132,9 @@ class Config:
     torsion_primes: dict = field(default_factory=dict)  # curve label -> primes
 
     def __post_init__(self):
-        _bounded_int("sample_bound", self.sample_bound, *_SAMPLE_BOUND_RANGE)
+        bound = self.sample_bound
+        if isinstance(bound, bool) or not isinstance(bound, int) or not 3 <= bound <= SCAN_BOUND:
+            raise ValueError(f"sample_bound must be an integer in [3, {SCAN_BOUND}], got {bound!r}")
         object.__setattr__(self, "torsion_primes",
                            _torsion_prime_lists(self.torsion_primes))
 
@@ -249,14 +243,12 @@ def _claim_gate_search(config: Config, moduli) -> tuple[dict, dict]:
     expected, computed = {}, {}
     for r in moduli:
         expected[str(r)] = _gate_expected(r)
+        # in the order find_gate_groups documents, which _gate_expected states
         res = find_gate_groups(r)
-        rank = sorted(range(len(res.indices)), key=res.indices.__getitem__)
-        pos = {old: new for new, old in enumerate(rank)}
-        pairs = sorted(sorted((pos[i], pos[j])) for i, j in res.plus_minus_pairs)
         computed[str(r)] = {
             "classes": len(res.groups),
-            "indices": sorted(res.indices),
-            "pm_pairs": [list(p) for p in pairs],
+            "indices": list(res.indices),
+            "pm_pairs": [list(p) for p in res.plus_minus_pairs],
         }
     return expected, computed
 
@@ -278,7 +270,7 @@ def _claim_exc_family(config: Config, moduli) -> tuple[dict, dict]:
     gate = find_gate_groups(5).groups[0]
     g3 = standard_group("g3", 5)
     computed = {
-        "r5_gate_class_is_cube_torus": (_verify_gate_group(g3, 5)
+        "r5_gate_class_is_cube_torus": (_verify_gate_group(g3)
                                         and g3.sl2_part().order == gate.sl2_part().order),
         "evaluations": {
             t: str(g3_family_j(Fraction(t))) for t in ("0", "1", "-1")
@@ -515,7 +507,7 @@ def _claim_sqrt_rule(config: Config, moduli) -> tuple[dict, dict]:
 
 
 def _claim_cm_filter(config: Config, moduli) -> tuple[dict, dict]:
-    moduli = moduli or (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    moduli = moduli or _ODD_PRIMES_37[1:]  # 5 to 37
     expected = {
         "family_cm": [
             "0", "2^6*3^3", "2^4*3^3*5^3", "2^3*3^3*11^3", "-3^3*5^3",

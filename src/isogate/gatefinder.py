@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch
 from .linaction import fixed_lines
 from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, is_applicable,
                        mat_inv, mat_mul, mat_pow, minus_identity)
@@ -68,8 +67,7 @@ class GateGroupResult:
 
 def plus_minus_related(g_group: MatrixGroup, h_group: MatrixGroup) -> bool:
     """Whether G equals the group generated by H together with -I."""
-    if g_group.r != h_group.r:
-        raise ModulusMismatch(f"moduli differ: {g_group.r} vs {h_group.r}")
+    g_group._require_same_modulus(h_group)
     r = g_group.r
     neg = minus_identity(r)
     extended = set(h_group.elements)
@@ -83,7 +81,8 @@ def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGro
     One group G_d = <T_d, g*> per d | r-1 with d > 2 that passes the
     predicates, in decreasing d, with g* the least antidiagonal element of
     determinant delta; with a reference conjugator m, T_d and the
-    antidiagonals are conjugated by m before g* is picked.
+    antidiagonals are conjugated by m before g* is picked.  So the indices
+    ascend, and each +-I pair (i, j), G_i = <G_j, -I>, has i < j.
     """
     validate_modulus(r)
     delta = generator(r)
@@ -104,7 +103,7 @@ def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGro
         if mat_pow(g_star, r - 1, r) not in h_group:
             continue
         group = MatrixGroup.close(h_group.generators + (g_star,), r)
-        if _verify_gate_group(group, r):
+        if _verify_gate_group(group):
             groups.append(group)
     # G_i = <G_j, -I> already holds as sets (see the module docstring); each
     # such G_j is still moved by the least m in N(C_s) normalizing G_i, which
@@ -121,9 +120,9 @@ def find_gate_groups(r: int, reference_conjugator: Mat | None = None) -> GateGro
     return GateGroupResult(r, tuple(groups), indices, pairs)
 
 
-def _verify_gate_group(group: MatrixGroup, r: int) -> bool:
+def _verify_gate_group(group: MatrixGroup) -> bool:
     """Re-check the defining predicates directly on the element set."""
-    if group.order >= gl2_order(r):
+    if group.order >= gl2_order(group.r):
         return False
     if not is_applicable(group):
         return False

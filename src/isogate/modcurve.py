@@ -31,7 +31,7 @@ from itertools import islice
 from .cyclo import cm_field_discriminant
 from .errors import BadReduction, NoValidPrimes
 from .modfield import is_square, validate_modulus
-from .pointcount import SCAN_BOUND, count_by_x_scan
+from .pointcount import SCAN_BOUND, count_by_x_scan, primes_upto
 from .ratcurves import (SAMPLE_BOUND, CubicFactorType, CurveModel, _cubic_shape,
                         _divide_out, _factor_positive, frobenius_stream,
                         is_probable_prime, rational_roots_cubic)
@@ -264,7 +264,7 @@ def rational_torsion(model: CurveModel) -> tuple[Point, ...]:
 
 
 # small primes that sift the Nagell-Lutz candidates Y before the exact cubic
-_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_SIEVE_PRIMES = primes_upto(23)
 
 
 def _nagell_lutz(model: CurveModel, two_torsion_only: bool) -> tuple[Point, ...]:

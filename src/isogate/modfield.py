@@ -6,17 +6,15 @@ MODULUS_MIN to MODULUS_MAX.
 """
 
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import CompositeModulus, ZeroInput
 
 MODULUS_MIN = 3
 MODULUS_MAX = 97
 
-_SMALL_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-)
+_SMALL_PRIMES = tuple(p for p in range(MODULUS_MIN, MODULUS_MAX + 1)
+                      if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 def validate_modulus(r: int) -> int:

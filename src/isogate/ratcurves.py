@@ -31,6 +31,7 @@ prime.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -58,29 +59,25 @@ def parse_rational_expr(text: str) -> Fraction:
 
     Grammar: optional leading minus, then integer atoms with optional
     '^exponent', combined left-to-right by '*' and '/'.  The Unicode minus
-    sign is read as '-'; any other character outside ASCII digits, '^', '*'
-    and '/' (a superscript or a non-ASCII digit, say) raises ValueError, and
-    so does an atom that is not digits or digits^digits ('2^', '^3',
-    '2^3^4').  An atom, numerator or denominator above 2^256 raises
-    ValueError, a large power before it is computed.
+    sign is read as '-'.  The text is split at '*' and '/', and every atom
+    between them must be ASCII digits or digits^digits, so an empty atom
+    ('-', '3*'), '2^', '^3', '2^3^4', a superscript or a non-ASCII digit
+    raises ValueError.  An atom, numerator or denominator above 2^256
+    raises ValueError, a large power before it is computed.
     """
     s = text.strip().replace("−", "-").replace(" ", "")
     if not s:
         raise ValueError("empty rational expression")
     negative = s.startswith("-")
-    if negative:
-        s = s[1:]
+    pieces = re.split(r"([*/])", s.removeprefix("-"))
     value = Fraction(1)
-    op = "*"
-    for piece in _tokenize_factors(s):
-        if piece in ("*", "/"):
-            op = piece
-            continue
-        base_s, caret, exp_s = piece.partition("^")
-        # the tokenizer passes only ASCII digits and '^', so isdigit is exact
-        if not base_s.isdigit() or caret and not exp_s.isdigit():
+    # atoms sit at the even places, each after the operator before it
+    for op, piece in zip(["*"] + pieces[1::2], pieces[::2]):
+        # [0-9], not \d, which also matches non-ASCII digits
+        if not re.fullmatch(r"[0-9]+(\^[0-9]+)?", piece):
             raise ValueError(f"malformed factor {piece!r} in {text!r}: want digits or digits^digits")
-        base, exp = int(base_s), int(exp_s) if caret else 1
+        base_s, _, exp_s = piece.partition("^")
+        base, exp = int(base_s), int(exp_s or 1)
         # base >= 2^(bits - 1), so this refuses only powers above the limit
         if base > 1 and (base.bit_length() - 1) * exp > _EXPR_LIMIT_BITS:
             raise ValueError(f"{piece!r} exceeds 2^{_EXPR_LIMIT_BITS} in {text!r}")
@@ -93,24 +90,6 @@ def parse_rational_expr(text: str) -> Fraction:
                 raise ValueError(f"{text!r} exceeds 2^{_EXPR_LIMIT_BITS} in a numerator "
                                  "or denominator")
     return -value if negative else value
-
-
-def _tokenize_factors(s: str):
-    token = ""
-    for ch in s:
-        if ch in "*/":
-            if not token:
-                raise ValueError(f"misplaced operator in {s!r}")
-            yield token
-            yield ch
-            token = ""
-        elif ch in "0123456789^":
-            token += ch
-        else:
-            raise ValueError(f"invalid character {ch!r} in rational expression")
-    if not token:
-        raise ValueError(f"trailing operator in {s!r}")
-    yield token
 
 
 def format_rational(q: Rational) -> str:

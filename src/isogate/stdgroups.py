@@ -255,7 +255,7 @@ def standard_sl2_part(kind: str, r: int) -> MatrixGroup:
     elements; the split part is generated by diag(g, 1/g), g =
     generator(r), and antidiag(1, -1).
     """
-    name = _ALIASES.get(kind, kind)
+    name = resolve_kind(kind)
     if name not in _SL2_BUILDERS:
         raise KeyError(f"no closed-form SL2 part for {kind!r}; "
                        f"covered: {', '.join(sorted(_SL2_BUILDERS))}")

@@ -112,7 +112,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 _BATCH_CODES = 1 << 18
 
 
-def _closures_capped(group: MatrixGroup, xs, r: int, cap: int) -> list:
+def _closures_capped(group: MatrixGroup, xs, cap: int) -> list:
     """<group, x> for each candidate x, in one breadth-first walk per batch.
 
     Each candidate has a row of r^4 codes, seeded with the group's codes;
@@ -124,6 +124,7 @@ def _closures_capped(group: MatrixGroup, xs, r: int, cap: int) -> list:
     closure contains SL2), or None once the size passes cap.  On each
     frontier the Serre stop is checked before the cap.
     """
+    r = group.r
     k = _kernel(r)
     h_codes = group._code_array().astype(np.int32)
     goal, stop = _ALL_THREE, None
@@ -349,9 +350,6 @@ class ClassInventory:
         return len(self.classes)
 
 
-_LEVEL_CACHE: dict[int, list] = {}
-
-
 def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
     """All conjugacy classes of proper subgroups with <= max_generators generators.
 
@@ -360,61 +358,68 @@ def subgroup_classes(r: int, max_generators: int) -> ClassInventory:
     _require_kernel_range(r, "subgroup enumeration")
     if max_generators < 1:
         raise ValueError("need at least one generator")
-    if r not in _LEVEL_CACHE:
-        _LEVEL_CACHE[r] = [([MatrixGroup.close([], r)], False, {})]
-    levels = _LEVEL_CACHE[r]
-    k = _kernel(r)
+    classes, hit_full, funnel = _level(r, max_generators)
+    return ClassInventory(r, max_generators, classes, hit_full, dict(funnel))
+
+
+@lru_cache(maxsize=None)
+def _level(r: int, k: int) -> tuple:
+    """(classes, reaches GL2, funnel) with <= k generators; level 0 is the trivial group.
+
+    Level k extends by one generator the classes new at level k - 1, those
+    that level k - 2 did not already hold.
+    """
+    if k == 0:
+        return (MatrixGroup.close([], r),), False, {}
+    prev_classes, hit_full, _ = _level(r, k - 1)
+    older = _level(r, k - 2)[0] if k >= 2 else ()
+    fresh = [g for g in prev_classes if g not in older]
+    kern = _kernel(r)
     cap = _dickson_bound(r)
-    while len(levels) <= max_generators:
-        prev_classes, hit_full, _ = levels[-1]
-        older = levels[-2][0] if len(levels) >= 2 else []
-        fresh = [g for g in prev_classes if g not in older]
-        pool: dict = {}
-        for g in prev_classes:
-            pool.setdefault(_trace_det_fingerprint(k.trace_det[g._code_array()], r), []).append(g)
-        # codes of the closures already settled: the known classes, then
-        # every closure under B(r) met at this level
-        handled = {g._code_array().tobytes() for g in prev_classes}
-        funnel = dict.fromkeys(FUNNEL_STEPS, 0)
-        for h_group in fresh:
-            xs = _candidate_orbit_reps(h_group)
-            for x, codes in zip(xs, _closures_capped(h_group, xs, r, cap)):
-                funnel["candidates"] += 1
-                gens = h_group.generators + (x,)
-                if codes is None or codes is False:  # the closure contains SL2
-                    route = "sl2_by_cap" if codes is None else "sl2_by_words"
-                    preimage = _det_preimage(gens, r)
-                    if preimage is None:
-                        hit_full = True
-                        funnel["full_group"] += 1
-                        continue
-                    codes, fingerprint = preimage
-                    bucket = pool.setdefault(fingerprint, [])
-                    # a known class of the same order is above B(r) too, so it
-                    # contains SL2 and is the preimage of its determinants;
-                    # F_r^* is cyclic, so equal orders give the same
-                    # determinant group and the same (normal) subgroup
-                    step = route if bucket else "new_class"
-                else:
-                    # the first copy of these codes is a known class, or was
-                    # kept or matched at this level: either way a duplicate
-                    key = codes.tobytes()
-                    if key in handled:
-                        funnel["exact_repeats"] += 1
-                        continue
-                    handled.add(key)
-                    bucket = pool.setdefault(_trace_det_fingerprint(k.trace_det[codes], r), [])
-                    # equal fingerprints mean equal orders, so mapping the
-                    # generators into a known class is a conjugacy witness
-                    gen_codes = [k.code(g) for g in gens]
-                    matched = any(len(k.conjugators(gen_codes, known._code_array()))
-                                  for known in bucket)
-                    step = "conjugate_of_known" if matched else "new_class"
-                funnel[step] += 1
-                if step == "new_class":
-                    bucket.append(MatrixGroup._from_codes(r, codes, gens))
-        merged = sorted((g for bucket in pool.values() for g in bucket),
-                        key=lambda g: (g.order, g.elements))
-        levels.append((merged, hit_full, funnel))
-    classes, hit_full, funnel = levels[max_generators]
-    return ClassInventory(r, max_generators, tuple(classes), hit_full, dict(funnel))
+    pool: dict = {}
+    for g in prev_classes:
+        pool.setdefault(_trace_det_fingerprint(kern.trace_det[g._code_array()], r), []).append(g)
+    # codes of the closures already settled: the known classes, then
+    # every closure under B(r) met at this level
+    handled = {g._code_array().tobytes() for g in prev_classes}
+    funnel = dict.fromkeys(FUNNEL_STEPS, 0)
+    for h_group in fresh:
+        xs = _candidate_orbit_reps(h_group)
+        for x, codes in zip(xs, _closures_capped(h_group, xs, cap)):
+            funnel["candidates"] += 1
+            gens = h_group.generators + (x,)
+            if codes is None or codes is False:  # the closure contains SL2
+                route = "sl2_by_cap" if codes is None else "sl2_by_words"
+                preimage = _det_preimage(gens, r)
+                if preimage is None:
+                    hit_full = True
+                    funnel["full_group"] += 1
+                    continue
+                codes, fingerprint = preimage
+                bucket = pool.setdefault(fingerprint, [])
+                # a known class of the same order is above B(r) too, so it
+                # contains SL2 and is the preimage of its determinants;
+                # F_r^* is cyclic, so equal orders give the same
+                # determinant group and the same (normal) subgroup
+                step = route if bucket else "new_class"
+            else:
+                # the first copy of these codes is a known class, or was
+                # kept or matched at this level: either way a duplicate
+                key = codes.tobytes()
+                if key in handled:
+                    funnel["exact_repeats"] += 1
+                    continue
+                handled.add(key)
+                bucket = pool.setdefault(_trace_det_fingerprint(kern.trace_det[codes], r), [])
+                # equal fingerprints mean equal orders, so mapping the
+                # generators into a known class is a conjugacy witness
+                gen_codes = [kern.code(g) for g in gens]
+                matched = any(len(kern.conjugators(gen_codes, known._code_array()))
+                              for known in bucket)
+                step = "conjugate_of_known" if matched else "new_class"
+            funnel[step] += 1
+            if step == "new_class":
+                bucket.append(MatrixGroup._from_codes(r, codes, gens))
+    merged = sorted((g for bucket in pool.values() for g in bucket),
+                    key=lambda g: (g.order, g.elements))
+    return tuple(merged), hit_full, funnel

@@ -233,6 +233,12 @@ def test_curves_disc_class_names_a_malformed_factor(capsys, j):
     assert err.startswith(f"error: malformed factor {j!r}") and "invalid literal" not in err
 
 
+def test_curves_disc_class_names_the_empty_factor_of_a_bare_minus(capsys):
+    # a lone sign leaves one empty atom, and no operator to blame
+    assert main(["curves", "disc-class", "--j=-"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed factor '' in '-'")
+
+
 def test_torsion_bound_command(capsys):
     assert main(["torsion-bound", "--curve", "X0(14)", "--r", "7"]) == 0
     out = capsys.readouterr().out

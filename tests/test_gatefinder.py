@@ -81,7 +81,7 @@ def _reference_find_gate_groups(r, reference_conjugator=None):
                 continue
             cand = MatrixGroup.close(h_group.generators + (g,), r)
             built[cand._code_array()] = True
-            if not _verify_gate_group(cand, r):
+            if not _verify_gate_group(cand):
                 continue
             bucket = found.setdefault(cand.fingerprint(), [])
             if not any(are_conjugate(cand, known) for known in bucket):
@@ -243,7 +243,7 @@ def test_every_extender_gives_the_constructed_class_or_a_reducible_group():
             t = pow(delta, (r - 1) // d, r)
             torus = (t, 0, 0, pow(t, -1, r))
             g_d = MatrixGroup.close([torus, g_star], r)
-            if _verify_gate_group(g_d, r):
+            if _verify_gate_group(g_d):
                 built.add(g_d.elements)
             for x in range(1, r):
                 y = -delta * pow(x, -1, r) % r

@@ -50,7 +50,7 @@ def test_parse_rational_expr():
 
 
 def test_parse_rational_expr_errors():
-    for bad in ("", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3",
+    for bad in ("", "-", "--5", "(2)", "2^", "*3", "3*", "2**3", "a", "5/0", "1/0^3",
                 # an atom, numerator or denominator above 2^256
                 "2^257", "2^99999999", "3^162", "9" * 78, "2^200*2^57", "1/2^256/2",
                 "1/3^100*3^200",

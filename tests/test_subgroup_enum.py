@@ -22,8 +22,9 @@ from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
-                                   _dickson_bound, _distinct, _normalizer_moves,
-                                   _serre_tables, subgroup_classes)
+                                   _dickson_bound, _distinct, _level,
+                                   _normalizer_moves, _serre_tables,
+                                   subgroup_classes)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -287,7 +288,7 @@ def _level_candidates(r, level):
 
 def _assert_matches_plain_closures(h_group, xs, r, cap):
     """Each batched result against its own kernel closure; returns the Serre exits."""
-    got = _closures_capped(h_group, xs, r, cap)
+    got = _closures_capped(h_group, xs, cap)
     assert len(got) == len(xs)
     exits = 0
     for x, codes in zip(xs, got):
@@ -319,7 +320,7 @@ def _closed_parent(gens, r):
 def test_serre_exit_implies_sl2(r, picks):
     gl = all_gl2(r)
     gens = [gl[i % len(gl)] for i in picks]
-    if _closures_capped(_closed_parent(gens[:-1], r), gens[-1:], r, gl2_order(r))[0] is False:
+    if _closures_capped(_closed_parent(gens[:-1], r), gens[-1:], gl2_order(r))[0] is False:
         assert MatrixGroup.close(gens, r).sl2_part().order == sl2_order(r)
 
 
@@ -443,6 +444,16 @@ CANDIDATES_PER_LEVEL = {
 @pytest.mark.parametrize("r, level", sorted(CANDIDATES_PER_LEVEL))
 def test_candidates_per_level_are_pinned(r, level):
     assert subgroup_classes(r, level).funnel["candidates"] == CANDIDATES_PER_LEVEL[r, level]
+
+
+def test_cached_levels_survive_a_mutated_funnel():
+    first = subgroup_classes(5, 2)
+    kept = dict(first.funnel)
+    first.funnel["candidates"] = -1
+    misses = _level.cache_info().misses
+    again = subgroup_classes(5, 2)
+    assert _level.cache_info().misses == misses
+    assert again.funnel == kept and again.classes == first.classes
 
 
 _FUNNEL_SCRIPT = """
