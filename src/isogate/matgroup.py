@@ -13,20 +13,25 @@ kernel (_Kernel): the matrix (a, b, c, d) is the integer
 ((a*r+b)*r+c)*r+d, whose order is the lexicographic order of the tuples,
 and numpy tables and multiplication maps over all r^4 codes replace
 Python-level products.  They refuse r > KERNEL_MAX_R with RangeExceeded
-before allocating anything.
+before allocating anything: a group keeps its codes as int16, which holds
+r^4 only up to r = 13.  The kernel's index tables are intp, numpy's index
+dtype, and its array reductions use floor division, not %; see _Kernel, _mod.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
+from operator import ne
 
 import numpy as np
 
 from .errors import ModulusMismatch, NonInvertibleMatrix, RangeExceeded
 from .modfield import validate_modulus
 
-# largest modulus with an integer-indexed kernel: r^4 = 28,561 codes fit int16
+# largest modulus with an integer-indexed kernel: the stored codes of a
+# group (r^4 = 28,561 at r = 13) and conjugates_at's unreduced entries
+# (4 (r-1)^3 = 6,912) fit int16; the index tables are intp at every r
 KERNEL_MAX_R = 13
 
 Mat = tuple[int, int, int, int]
@@ -71,6 +76,16 @@ def mat_pow(m: Mat, k: int, r: int) -> Mat:
         base = mat_mul(base, base, r)
         k >>= 1
     return out
+
+
+def _mod(v: np.ndarray, r: int) -> np.ndarray:
+    """v mod r for an integer array, as v - v // r * r.
+
+    numpy's floor division by a scalar is several times faster than its
+    remainder (about five times on int16), and both round toward minus
+    infinity, so negative entries agree too.
+    """
+    return v - v // r * r
 
 
 def _entries(mats) -> np.ndarray:
@@ -143,6 +158,12 @@ class _Kernel:
     the r^2-entry row table of its generator (_row_tables) expanded over
     all codes; subgroup_enum closes its candidates through the row tables
     themselves, not these maps.
+
+    gl, gl_index, inv and both maps are intp, as they serve as fancy
+    indices: numpy converts any other index dtype to intp on every use,
+    which more than doubles the cost of a gather.  The codes a group
+    stores (encode, members) and conjugates_at's arithmetic stay int16.
+    Every table and map is read-only; _slot is closure's work buffer.
     """
 
     def __init__(self, r: int):
@@ -153,25 +174,30 @@ class _Kernel:
         a, b, c, d = codes // r ** 3, codes // (r * r) % r, codes // r % r, codes % r
         det = (a * d - b * c) % r
         self.trace_det = (a + d) % r * r + det
-        self.gl = np.flatnonzero(det).astype(np.int32)
-        self.gl_index = np.full(self.n, -1, dtype=np.int16)
+        self.gl = np.flatnonzero(det)
+        self.gl_index = np.full(self.n, -1, dtype=np.intp)
         self.gl_index[self.gl] = np.arange(len(self.gl))
         units = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=np.int16)
         u = units[det]
-        self.inv = self._encode(d * u, -b * u, -c * u, a * u)
+        self.inv = self._encode(d * u, -b * u, -c * u, a * u).astype(np.intp)
         self.inv[det == 0] = -1
         self.gl_digits = tuple(t[self.gl] for t in (a, b, c, d))
         self.gl_inv_digits = tuple(t[self.inv[self.gl]] for t in (a, b, c, d))
+        for table in (self.trace_det, self.gl, self.gl_index, self.inv,
+                      *self.gl_digits, *self.gl_inv_digits):
+            table.flags.writeable = False
         self.ident = self.code(IDENT)
         self.gl_mats = tuple(zip(*(t.tolist() for t in self.gl_digits)))
         self._slot = np.empty(self.n, dtype=np.int32)
 
     def _encode(self, a, b, c, d) -> np.ndarray:
         r = self.r
-        return ((a % r * r + b % r) * r + c % r) * r + d % r
+        return ((_mod(a, r) * r + _mod(b, r)) * r + _mod(c, r)) * r + _mod(d, r)
 
     def code(self, m: Mat) -> int:
-        return self._encode(*m)
+        r = self.r
+        a, b, c, d = m
+        return ((a % r * r + b % r) * r + c % r) * r + d % r
 
     def digits(self, code: int) -> tuple[int, int, int, int]:
         code, d = divmod(int(code), self.r)
@@ -267,23 +293,26 @@ def _kernel(r: int) -> _Kernel:
 # maps kept across all moduli; a subgroup search needs a handful at a time
 @lru_cache(maxsize=8)
 def _kernel_map(r: int, kind: str, code: int) -> np.ndarray:
-    """The right-multiplication ("R") or conjugation ("C") map of one code."""
+    """The right-multiplication ("R") or conjugation ("C") map of one code, as intp; read-only."""
     k = _kernel(r)
     if kind == "C":
-        return k.conjugates_at(code, slice(None))
-    row = _row_tables([k.digits(code)], r)[0]
-    return (row[:, None] * (r * r) + row[None, :]).ravel().astype(np.int16)
+        out = k.conjugates_at(code, slice(None)).astype(np.intp)
+    else:
+        row = _row_tables([k.digits(code)], r)[0]
+        out = (row[:, None] * (r * r) + row[None, :]).ravel()
+    out.flags.writeable = False
+    return out
 
 
 def _row_tables(mats, r: int) -> np.ndarray:
-    """Row (a, b) times each matrix, with the row p = a r + b: shape (len(mats), r^2).
+    """Row (a, b) times each matrix, with the row p = a r + b: shape (len(mats), r^2), intp.
 
     A product's rows are its left factor's rows times the right factor, so
     x g for a code x = p r^2 + q is T[p] r^2 + T[q].
     """
-    e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.int32).reshape(-1, 4).T)
-    a, b = np.divmod(np.arange(r * r, dtype=np.int32), r)
-    return (a * e + b * g) % r * r + (a * f + b * h) % r
+    e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.intp).reshape(-1, 4).T)
+    a, b = np.divmod(np.arange(r * r), r)
+    return _mod(a * e + b * g, r) * r + _mod(a * f + b * h, r)
 
 
 def _closure_tuples(gens, r: int, seen: set) -> set:
@@ -304,19 +333,30 @@ def _closure_tuples(gens, r: int, seen: set) -> set:
 class MatrixGroup:
     """A subgroup of GL2(F_r), stored as an explicit element set.
 
-    generators always generate the elements; when none are given, the
-    greedy _generating_subset of the elements is taken.  Closure, the
-    fingerprint and the generating set work on the tuples at every r; the
-    kernel codes (_code_array) are made only for the exhaustive scans.
+    elements holds each element once, sorted, so two groups are equal
+    exactly when their element tuples are.  generators always generate the
+    elements; when none are given, the greedy _generating_subset of the
+    elements is taken.  Closure, the fingerprint and the generating set
+    work on the tuples at every r; the kernel codes (_code_array) are made
+    only for the exhaustive scans, and the membership set only on the
+    first `in`.
     """
 
     __slots__ = ("r", "elements", "generators", "_set", "_fingerprint", "_codes")
 
     def __init__(self, r: int, elements, generators=None):
         validate_modulus(r)
+        # sorted, a repeated element sits next to its copy; sorting a set
+        # instead would cost a full sort of lists that arrive sorted
+        elements = sorted(elements)
+        if not all(map(ne, elements, islice(elements, 1, None))):
+            elements = sorted(set(elements))
+        self._init(r, tuple(elements), generators)
+
+    def _init(self, r: int, elements: tuple, generators) -> None:
         self.r = r
-        self.elements: tuple[Mat, ...] = tuple(sorted(elements))
-        self._set = frozenset(self.elements)
+        self.elements: tuple[Mat, ...] = elements
+        self._set = None
         if generators is None:
             generators = _generating_subset(self.elements, r)
         self.generators: tuple[Mat, ...] = tuple(generators)
@@ -337,8 +377,13 @@ class MatrixGroup:
 
     @classmethod
     def _from_codes(cls, r: int, codes: np.ndarray, generators) -> "MatrixGroup":
-        """Group on sorted kernel codes, keeping the codes for later scans."""
-        group = cls(r, _kernel(r).decode(codes), generators)
+        """Group on sorted, distinct kernel codes, keeping the codes for later scans.
+
+        The codes decode to the sorted, distinct elements, so neither the
+        set nor the sort of __init__ is needed.
+        """
+        group = cls.__new__(cls)
+        group._init(r, tuple(_kernel(r).decode(codes)), generators)
         group._codes = codes
         return group
 
@@ -356,6 +401,8 @@ class MatrixGroup:
         return len(self.elements)
 
     def __contains__(self, m: Mat) -> bool:
+        if self._set is None:
+            self._set = frozenset(self.elements)
         return m in self._set
 
     def __iter__(self):
@@ -367,7 +414,7 @@ class MatrixGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixGroup):
             return NotImplemented
-        return self.r == other.r and self._set == other._set
+        return self.r == other.r and self.elements == other.elements
 
     def __hash__(self) -> int:
         return hash((self.r, self.elements))

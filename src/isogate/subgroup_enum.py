@@ -44,6 +44,9 @@ class that is kept.  A candidate that contains SL2 skips the scan: it is
 a duplicate exactly when a class of its order is already known.  So does
 a closure whose codes equal a known class's or an earlier candidate's at
 the same level.  ClassInventory.funnel counts where the candidates went.
+
+The walk's and the orbit loop's index arrays are intp where they are
+built, and arrays are reduced mod r by floor division (see matgroup._Kernel).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import lcm
 
 import numpy as np
 
-from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel,
+from .matgroup import (IDENT, Mat, MatrixGroup, gl2_order, mat_det, _kernel, _mod,
                        _require_kernel_range, _row_tables, _trace_det_fingerprint)
 from .modfield import LARGE_ORDER, NONSPLIT, SPLIT, element_order, serre_bits
 
@@ -126,7 +129,7 @@ def _closures_capped(group: MatrixGroup, xs, cap: int) -> list:
     """
     r = group.r
     k = _kernel(r)
-    h_codes = group._code_array().astype(np.int32)
+    h_codes = group._code_array().astype(np.intp)
     goal, stop = _ALL_THREE, None
     if r >= 5:
         stop = _serre_tables(r)
@@ -146,12 +149,12 @@ def _walk_batch(k, h_codes, h_tables, xs, goal: int, stop, cap: int) -> list:
     n, r2, m = k.n, k.r * k.r, len(xs)
     x_table = _row_tables(xs, k.r).ravel()
     seen = np.zeros(m * n, dtype=bool)
-    seen[(np.arange(m, dtype=np.int32)[:, None] * n + h_codes).ravel()] = True
+    seen[(np.arange(m)[:, None] * n + h_codes).ravel()] = True
     size = np.full(m, len(h_codes))
     goals = np.full(m, goal, dtype=np.uint8)
     live = np.ones(m, dtype=bool)
     closed = np.zeros(m, dtype=bool)  # rows that end with no new codes
-    member = np.repeat(np.arange(m, dtype=np.int32), len(h_codes))
+    member = np.repeat(np.arange(m), len(h_codes))
     codes = np.tile(h_codes, m)
     tables = []  # the first frontier is group * x alone
     while live.any():
@@ -237,7 +240,8 @@ def _times(u, v, r: int):
     """Entrywise products of two stacks of matrices, given as digit arrays (a, b, c, d)."""
     p, q, s, t = u
     a, b, c, d = v
-    return (p * a + q * c) % r, (p * b + q * d) % r, (s * a + t * c) % r, (s * b + t * d) % r
+    return (_mod(p * a + q * c, r), _mod(p * b + q * d, r),
+            _mod(s * a + t * c, r), _mod(s * b + t * d, r))
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +265,7 @@ def _cyclic_generator_table(r: int) -> np.ndarray:
     while not rep_order.all():
         rep_order[(k._encode(*power) == k.ident) & (rep_order == 0)] = j
         power, j = _times(power, reps, r), j + 1
-    table = np.arange(len(k.gl), dtype=np.int32)
+    table = np.arange(len(k.gl))
     live, order, power, j = table.copy(), rep_order[cls], x, 1
     while len(live):
         gens = np.gcd(order, j) == 1
@@ -277,6 +281,18 @@ def _cyclic_generator_table(r: int) -> np.ndarray:
     return table
 
 
+def _moves(group: MatrixGroup):
+    """The moves of _candidate_orbit_reps but the power moves, each as the codes of x moved, x in gl."""
+    k = _kernel(group.r)
+    gl = k.gl
+    for h in group.generators:
+        if h != IDENT:
+            yield k.right_map(k.code(h))[gl]
+    for z in _normalizer_moves(group):
+        rz = k.right_map(k.inv[z])
+        yield rz[k.inv[rz[k.inv[gl]]]]  # x^-1 z^-1, then z x, then z x z^-1
+
+
 def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     """One representative per orbit of candidate extra generators.
 
@@ -288,19 +304,14 @@ def _candidate_orbit_reps(group: MatrixGroup) -> list[Mat]:
     and then the label of the label converges to the least position in
     each orbit, so the representatives are the orbit minima, in increasing
     order, as a walk from each least unvisited element would list them.
+    Each permutation is built from its move as the move is made, so at
+    most one move is held at a time.
     """
     r = group.r
     k = _kernel(r)
     gl, pos = k.gl, k.gl_index
-    hgens = [k.code(g) for g in group.generators if g != IDENT]
-    moves = []
-    for h in hgens:
-        moves.append(k.right_map(h)[gl])
-    for z in _normalizer_moves(group):
-        rz = k.right_map(k.inv[z])
-        moves.append(rz[k.inv[rz[k.inv[gl]]]])  # x^-1 z^-1, then z x, then z x z^-1
     perms = []
-    for move in moves:
+    for move in _moves(group):
         perm = pos[move]
         back = np.empty_like(perm)
         back[perm] = np.arange(len(perm), dtype=perm.dtype)

@@ -216,6 +216,15 @@ def test_group_container_protocol():
     assert g.determinant_set() == frozenset({1, 2, 3, 4})
 
 
+def test_repeated_elements_are_stored_once():
+    minus = minus_identity(5)
+    g = MatrixGroup(5, [IDENT, IDENT, minus])
+    plain = MatrixGroup(5, [minus, IDENT])
+    assert g.elements == (IDENT, minus)
+    assert g.order == len(g) == plain.order == 2
+    assert g == plain and hash(g) == hash(plain)
+
+
 # ---- the integer-indexed kernel against plain tuple references ----
 
 def _reference_closure(gens, r):
@@ -349,6 +358,17 @@ def test_kernel_tables():
             assert k.trace_det[code] == mat_trace(m, r) * r + mat_det(m, r)
             for g in sample[:5]:
                 assert k.decode([k.right_map(k.code(g))[code]]) == [mat_mul(m, g, r)]
+
+
+def test_kernel_tables_and_maps_are_read_only():
+    from isogate.matgroup import _kernel_map
+    k = _kernel(7)
+    g = k.code((3, 1, 0, 2))
+    tables = [k.trace_det, k.gl, k.gl_index, k.inv, *k.gl_digits, *k.gl_inv_digits,
+              _kernel_map(7, "R", g), _kernel_map(7, "C", g)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_exhaustive_entry_points_refuse_large_moduli():

@@ -19,11 +19,13 @@ from isogate.matgroup import (IDENT, MatrixGroup, _kernel, all_gl2,
 from isogate.modfield import serre_bits
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group, split_cartan_normalizer)
+from isogate import subgroup_enum
+from isogate.matgroup import _kernel_map, _row_tables
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
                                    _dickson_bound, _distinct, _level,
-                                   _normalizer_moves, _serre_tables,
+                                   _moves, _normalizer_moves, _serre_tables,
                                    subgroup_classes)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -497,3 +499,61 @@ def test_subgroup_classes_leave_numpy_ma_unimported():
 def test_distinct_matches_np_unique(values):
     a = np.array(values, dtype=np.int64)
     assert np.array_equal(_distinct(a), np.unique(a))
+
+
+# ---- index dtypes and lazy membership sets ----
+
+class _DtypeRecorder:
+    """numpy, recording the dtype of the first argument of the named functions."""
+
+    def __init__(self, *names):
+        self.dtypes = {name: set() for name in names}
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.dtypes:
+            return fn
+
+        def recorded(a, *args, **kwargs):
+            self.dtypes[name].add(np.asarray(a).dtype)
+            return fn(a, *args, **kwargs)
+        return recorded
+
+
+@pytest.mark.parametrize("r", (5, 11))
+def test_hot_index_arrays_are_intp(r, monkeypatch):
+    # numpy converts any other index dtype to intp on every fancy index,
+    # which more than doubles the cost of a gather
+    intp = np.dtype(np.intp)
+    k = _kernel(r)
+    g = k.code((2, 1, 1, 1))
+    for table in (k.gl, k.gl_index, k.inv, _kernel_map(r, "R", g), _kernel_map(r, "C", g),
+                  _cyclic_generator_table(r), _row_tables([(2, 1, 1, 1), IDENT], r)):
+        assert table.dtype == intp
+    h_group = MatrixGroup.close([(1, 1, 0, 1)], r)
+    assert {move.dtype for move in _moves(h_group)} == {intp}
+    # the orbit loop's permutations (empty_like(perm)) and the batched
+    # walk's codes (divmod) and rows (repeat, bincount)
+    recorder = _DtypeRecorder("empty_like", "divmod", "repeat", "bincount")
+    monkeypatch.setattr(subgroup_enum, "np", recorder)
+    xs = _candidate_orbit_reps(h_group)
+    _closures_capped(h_group, xs, _dickson_bound(r))
+    assert recorder.dtypes == dict.fromkeys(("empty_like", "divmod", "repeat", "bincount"), {intp})
+
+
+_LAZY_SET_SCRIPT = """
+from isogate.subgroup_enum import subgroup_classes
+classes = subgroup_classes(7, 2).classes
+before = sum(g._set is not None for g in classes)
+g = classes[-1]
+inside = g.elements[-1] in g
+print(before, type(g._set).__name__, inside)
+"""
+
+
+def test_classes_build_no_membership_set_until_asked():
+    # a cold process: other tests may already have used `in` on cached classes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _LAZY_SET_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "frozenset", "True"]
