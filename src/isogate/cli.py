@@ -14,15 +14,9 @@ import json
 import os
 import sys
 import traceback
+from collections import Counter
 
-from .claims import (
-    CLAIM_IDS,
-    Config,
-    claim_description,
-    run_all,
-    run_claim,
-    write_reports,
-)
+from .claims import CLAIM_IDS, Config, claim_description, run_all, run_claim
 from .errors import IsogateError
 from .gatefinder import find_gate_groups
 from .matgroup import format_matrix
@@ -47,6 +41,13 @@ def _check_output_path(path) -> None:
         raise PermissionError(f"--json {path}: not writable")
 
 
+def _write_json(path: str, payload) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _cmd_verify(args) -> int:
     if args.all and (args.claim or args.r):
         given = "--claim" if args.claim else "--r"
@@ -56,21 +57,29 @@ def _cmd_verify(args) -> int:
     _check_output_path(args.json)
     config = Config.from_json(args.config) if args.config else Config()
     if args.all:
-        reports = run_all(args.json, config=config)
-        return 0 if all(rep.status != "fail" for rep in reports) else 1
-    if not args.claim:
+        reports = run_all(config)
+        width = max(len(rep.claim_id) for rep in reports)
+        for rep in reports:
+            print(f"{rep.claim_id:<{width}}  {rep.status:<12} {rep.elapsed_ms:>7} ms")
+        tally = Counter(rep.status for rep in reports)
+        print(f"{len(reports)} claims: {tally['pass']} pass, {tally['fail']} fail, "
+              f"{tally['inconclusive']} inconclusive")
+        ok = all(rep.status != "fail" for rep in reports)
+    elif not args.claim:
         print("verify needs --claim <id> or --all", file=sys.stderr)
         return 2
-    moduli = tuple(args.r) if args.r else None
-    report = run_claim(args.claim, moduli=moduli, config=config)
-    print(f"{report.claim_id}: {claim_description(report.claim_id)}")
-    print(f"status: {report.status}  ({report.elapsed_ms} ms)")
-    if report.status != "pass":
-        print("expected:", json.dumps(report.expected, sort_keys=True))
-        print("computed:", json.dumps(report.computed, sort_keys=True))
+    else:
+        moduli = tuple(args.r) if args.r else None
+        report = run_claim(args.claim, moduli=moduli, config=config)
+        print(f"{report.claim_id}: {claim_description(report.claim_id)}")
+        print(f"status: {report.status}  ({report.elapsed_ms} ms)")
+        if report.status != "pass":
+            print("expected:", json.dumps(report.expected, sort_keys=True))
+            print("computed:", json.dumps(report.computed, sort_keys=True))
+        reports, ok = (report,), report.status == "pass"
     if args.json:
-        write_reports(args.json, [report])
-    return 0 if report.status == "pass" else 1
+        _write_json(args.json, [rep.to_dict() for rep in reports])
+    return 0 if ok else 1
 
 
 def _cmd_search(args) -> int:
@@ -89,9 +98,7 @@ def _cmd_search(args) -> int:
         "plus_minus_pairs": [list(p) for p in result.plus_minus_pairs],
     }
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, payload)
     print(f"r={result.r}: {len(result.groups)} conjugacy classes")
     for i, entry in enumerate(payload["classes"]):
         print(f"  class {i}: order {entry['order']}, index {entry['index']}")

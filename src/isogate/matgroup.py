@@ -311,8 +311,18 @@ def _row_tables(mats, r: int) -> np.ndarray:
     x g for a code x = p r^2 + q is T[p] r^2 + T[q].
     """
     e, f, g, h = (t[:, None] for t in np.array(mats, dtype=np.intp).reshape(-1, 4).T)
-    a, b = np.divmod(np.arange(r * r), r)
+    a, b = _row_index(r)
     return _mod(a * e + b * g, r) * r + _mod(a * f + b * h, r)
+
+
+@lru_cache(maxsize=None)
+def _row_index(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (a, b) of each row p = a r + b, p < r^2, as intp; read-only."""
+    p = np.arange(r * r, dtype=np.intp)
+    a = p // r
+    b = p - a * r
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def _closure_tuples(gens, r: int, seen: set) -> set:

@@ -1,4 +1,3 @@
-import io
 import json
 from dataclasses import fields
 from fractions import Fraction
@@ -6,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from isogate.claims import (CLAIM_IDS, CRITERION_CLAIMS, FAMILY_J, FAMILY_T,
-                            NO_TWO_TORSION_J, ClaimReport, Config,
+                            NO_TWO_TORSION_J, _REGISTRY, ClaimReport, Config,
                             _bounded_verdict, _exact_torsion_order,
                             _gate_expected,
-                            claim_description, run_all,
-                            run_claim, write_reports)
+                            claim_description, run_all, run_claim)
+from isogate.cli import main
 from isogate.errors import UnknownClaim
 from isogate.modcurve import image_bound, named_curve, two_division_shape
 from isogate.modfield import supported_moduli
@@ -227,7 +226,7 @@ def test_config_accepts_range_ends(tmp_path):
     assert Config(sample_bound=10 ** 6).sample_bound == 10 ** 6
 
 
-def test_failing_claim_does_not_abort_run(monkeypatch):
+def test_failing_claim_does_not_abort_run(monkeypatch, capsys):
     from isogate import claims
 
     def broken(config, moduli):
@@ -240,14 +239,14 @@ def test_failing_claim_does_not_abort_run(monkeypatch):
         runner = broken if cid == "disc-7" else passing
         spec = claims.ClaimSpec(cid, claims._REGISTRY[cid].description, runner)
         monkeypatch.setitem(claims._REGISTRY, cid, spec)
-    stream = io.StringIO()
-    reports = run_all(stream=stream)
+    reports = run_all()
     assert len(reports) == 19
     by_id = {rep.claim_id: rep for rep in reports}
     assert by_id["disc-7"].status == "fail"
     assert by_id["disc-7"].computed == {"error": "RuntimeError: runner exploded"}
     assert all(rep.status == "pass" for cid, rep in by_id.items() if cid != "disc-7")
-    assert "18 pass, 1 fail" in stream.getvalue()
+    assert main(["verify", "--all"]) == 1
+    assert "18 pass, 1 fail" in capsys.readouterr().out
 
 
 def test_torsion_prime_off_congruence_fails_its_claim_only():
@@ -327,32 +326,62 @@ def test_bounded_verdict_reports_what_it_cannot_settle(monkeypatch):
 
 
 def test_write_reports(tmp_path):
-    reports = [run_claim("disc-7"), run_claim("full2")]
-    out = tmp_path / "reports.json"
-    write_reports(str(out), reports)
-    loaded = json.loads(out.read_text())
-    assert isinstance(loaded, list) and len(loaded) == 2
+    loaded = []
+    for cid in ("disc-7", "full2"):
+        out = tmp_path / f"{cid}.json"
+        assert main(["verify", "--claim", cid, "--json", str(out)]) == 0
+        entries = json.loads(out.read_text())
+        assert isinstance(entries, list) and len(entries) == 1
+        loaded += entries
     assert {entry["claim_id"] for entry in loaded} == {"disc-7", "full2"}
     for entry in loaded:
         assert entry["schema"] == "isogate-report/1"
 
 
+def _scrub(entries):
+    return [{k: v for k, v in e.items() if k != "elapsed_ms"} for e in entries]
+
+
 def test_run_all_determinism_bullet(tmp_path):
     def run_once(name):
         out = tmp_path / name
-        reports = run_all(str(out), stream=io.StringIO())
-        stripped = [
-            {k: v for k, v in rep.to_dict().items() if k != "elapsed_ms"}
-            for rep in reports
-        ]
-        return reports, stripped, out.read_text()
+        assert main(["verify", "--all", "--json", str(out)]) == 0
+        return out.read_text()
 
-    first_reports, first, text1 = run_once("a.json")
-    assert [rep.claim_id for rep in first_reports] == list(CLAIM_IDS)
-    assert all(rep.status == "pass" for rep in first_reports)
-    second_reports, second, text2 = run_once("b.json")
-    assert first == second
+    text1 = run_once("a.json")
+    first = _scrub(json.loads(text1))
+    assert [e["claim_id"] for e in first] == list(CLAIM_IDS)
+    assert all(e["status"] == "pass" for e in first)
     # files differ only in timing fields
-    scrub = lambda t: [{k: v for k, v in e.items() if k != "elapsed_ms"}
-                       for e in json.loads(t)]
-    assert scrub(text1) == scrub(text2)
+    assert _scrub(json.loads(run_once("b.json"))) == first
+    # and the library returns the reports the command writes
+    assert _scrub(rep.to_dict() for rep in run_all()) == first
+
+
+def test_run_all_prints_nothing(capsys):
+    reports = run_all()
+    assert [rep.claim_id for rep in reports] == list(CLAIM_IDS)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("cid", [cid for cid in CLAIM_IDS if _REGISTRY[cid].defaults])
+def test_default_moduli_are_a_valid_list(cid):
+    # a claim's defaults are a list it would accept, run exactly as if given
+    spec = _REGISTRY[cid]
+    assert len(set(spec.defaults)) == len(spec.defaults)
+    for r in spec.defaults:
+        assert r in supported_moduli(), (cid, r)
+        assert spec.domain is None or spec.domain(r), (cid, r)
+    given, default = run_claim(cid, moduli=spec.defaults), run_claim(cid)
+    assert given.params == {"r": list(spec.defaults)} and default.params == {}
+    for name in ("expected", "computed", "status"):
+        assert getattr(given, name) == getattr(default, name), (cid, name)
+    assert default.status == "pass"
+
+
+def test_claims_without_defaults_refuse_a_moduli_list():
+    fixed = [cid for cid in CLAIM_IDS if not _REGISTRY[cid].defaults]
+    assert fixed
+    for cid in fixed:
+        with pytest.raises(ValueError, match="does not take a moduli list"):
+            run_claim(cid, moduli=(7,))

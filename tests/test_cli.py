@@ -49,6 +49,23 @@ def test_verify_rejects_moduli_on_fixed_claim(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim_id, primes", [
+    ("cartan-lemma", ["7", "7"]),
+    ("gate-search", ["5", "7", "5"]),
+    ("g3-orbits", ["11", "5", "11"]),
+])
+def test_verify_refuses_a_repeated_modulus(tmp_path, capsys, claim_id, primes):
+    # one modulus is one key of the report, so a repeat is an input error,
+    # refused before the claim runs and before any report is written
+    out = tmp_path / "out.json"
+    assert main(["verify", "--claim", claim_id, "--r", *primes, "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: claim {claim_id} is given a modulus twice: "
+                            f"r = [{', '.join(primes)}]\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_with_moduli(capsys):
     assert main(["verify", "--claim", "cartan-lemma", "--r", "7", "11"]) == 0
     assert "status: pass" in capsys.readouterr().out

@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 from collections import Counter
@@ -391,5 +390,5 @@ def test_registry_builds_one_gl2_kernel():
     # off the gatefinder classification, so no claim needs the r^4 kernel
     from isogate import claims
     _kernel.cache_clear()
-    assert all(rep.status == "pass" for rep in claims.run_all(stream=io.StringIO()))
+    assert all(rep.status == "pass" for rep in claims.run_all())
     assert _kernel.cache_info().currsize == 0

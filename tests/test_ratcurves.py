@@ -527,7 +527,7 @@ def test_brent_rho_signed_product_matches_the_abs_loop():
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _REGISTRY_SCRIPT = """
-import io, json
+import json
 from isogate import claims, pointcount, ratcurves
 calls = {"rho": 0, "cube_root_table": 0}
 
@@ -539,7 +539,7 @@ def counted(name, f):
 
 ratcurves._brent_rho = counted("rho", ratcurves._brent_rho)
 ratcurves.prime_array = counted("cube_root_table", ratcurves.prime_array)
-reports = claims.run_all(stream=io.StringIO())
+reports = claims.run_all()
 calls["passed"] = all(rep.status == "pass" for rep in reports)
 calls["sieve_bound"] = pointcount._sieve_bound
 print(json.dumps(calls))

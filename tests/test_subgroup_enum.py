@@ -20,7 +20,7 @@ from isogate.modfield import serre_bits
 from isogate.stdgroups import (borel, nonsplit_cartan_normalizer,
                                octahedral_group, split_cartan_normalizer)
 from isogate import subgroup_enum
-from isogate.matgroup import _kernel_map, _row_tables
+from isogate.matgroup import _kernel_map, _row_index, _row_tables
 from isogate.subgroup_enum import (_BATCH_CODES, FUNNEL_STEPS,
                                    _candidate_orbit_reps, _closures_capped,
                                    _cyclic_generator_table, _det_preimage,
@@ -539,6 +539,17 @@ def test_hot_index_arrays_are_intp(r, monkeypatch):
     xs = _candidate_orbit_reps(h_group)
     _closures_capped(h_group, xs, _dickson_bound(r))
     assert recorder.dtypes == dict.fromkeys(("empty_like", "divmod", "repeat", "bincount"), {intp})
+
+
+@pytest.mark.parametrize("r", (5, 11))
+def test_row_index_pair_is_built_once_per_r(r):
+    # every row table reads the same (a, b) pair; a caller cannot change it
+    a, b = _row_index(r)
+    assert _row_index(r)[0] is a and _row_index(r)[1] is b
+    assert a.dtype == b.dtype == np.dtype(np.intp)
+    assert not a.flags.writeable and not b.flags.writeable
+    assert (a * r + b).tolist() == list(range(r * r))
+    assert b.min() == 0 and b.max() == r - 1
 
 
 _LAZY_SET_SCRIPT = """

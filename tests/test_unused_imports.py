@@ -7,7 +7,8 @@ somewhere else in the module.  `__init__.py` is skipped, since its imports
 are the package's re-exports.  A private function, class or constant
 (one leading underscore) must be read somewhere in the package outside
 its own definition, as a name or an attribute; a helper whose last caller
-is gone fails here.
+is gone fails here.  A function handed to one of the package's own private
+decorators (a registration such as `claims._claim`) is read by it.
 """
 
 import ast
@@ -70,13 +71,22 @@ def _reads(node) -> Counter:
                    or isinstance(n, ast.Attribute))
 
 
+def _registered(node) -> bool:
+    """Whether a private decorator, bare or called, receives the definition."""
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id.startswith("_"):
+            return True
+    return False
+
+
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     dead = []
     for module, tree in sorted(trees.items()):
         for name, node in _private_definitions(tree).items():
-            if reads[name] == _reads(node)[name]:
+            if reads[name] == _reads(node)[name] and not _registered(node):
                 dead.append(f"{module}: {name}")
     return dead
 
@@ -89,6 +99,19 @@ def test_dead_name_detector_ignores_self_reference():
         "b.py": "from a import _used\nimport a\n_used()\na._SEEN.add(1)\n",
     }
     assert _dead_private_names(sources) == ["a.py: _walk", "a.py: _Box"]
+
+
+def test_dead_name_detector_counts_a_private_registration_only():
+    # the private decorator receives _body; lru_cache is no registration,
+    # so an unread cached helper is still dead
+    sources = {
+        "a.py": ("from functools import lru_cache\n"
+                 "def _register(key):\n    return lambda f: f\n"
+                 "@_register('body')\ndef _body():\n    pass\n"
+                 "@lru_cache(maxsize=None)\ndef _cached():\n    pass\n"
+                 "@lru_cache\ndef _bare():\n    pass\n"),
+    }
+    assert _dead_private_names(sources) == ["a.py: _cached", "a.py: _bare"]
 
 
 def test_no_module_keeps_a_dead_private_name():
