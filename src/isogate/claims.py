@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
@@ -164,15 +165,22 @@ def _freeze(value):
 
 
 def _line_report(group) -> dict:
-    dec = orbits(group)
-    sizes: dict[str, int] = {}
-    for s in dec.sizes:
-        sizes[str(s)] = sizes.get(str(s), 0) + 1
     return {
         "order": group.order,
         "free": acts_freely(group),
-        "orbit_sizes": sizes,
+        "orbit_sizes": {str(s): n for s, n in Counter(orbits(group).sizes).items()},
         "fixed_lines": len(fixed_lines(group)),
+    }
+
+
+def _free_report(order: int, r: int, fixed: int) -> dict:
+    """The line report of a free action by a group of this order on F_r^2:
+    every orbit has the group's order, so there are (r^2 - 1)/order."""
+    return {
+        "order": order,
+        "free": True,
+        "orbit_sizes": {str(order): (r * r - 1) // order},
+        "fixed_lines": fixed,
     }
 
 
@@ -215,18 +223,8 @@ def _claim_cartan_lemma(config: Config, moduli) -> tuple[dict, dict]:
     expected, computed = {}, {}
     for r in moduli:
         expected[str(r)] = {
-            "split": {
-                "order": 2 * (r - 1),
-                "free": True,
-                "orbit_sizes": {str(2 * (r - 1)): (r + 1) // 2},
-                "fixed_lines": 0,
-            },
-            "nonsplit": {
-                "order": 2 * (r + 1),
-                "free": True,
-                "orbit_sizes": {str(2 * (r + 1)): (r - 1) // 2},
-                "fixed_lines": 0,
-            },
+            "split": _free_report(2 * (r - 1), r, 0),
+            "nonsplit": _free_report(2 * (r + 1), r, 0),
         }
         computed[str(r)] = {
             "split": _line_report(standard_sl2_part("cs+", r)),
@@ -245,13 +243,7 @@ def _claim_g3_orbits(config: Config, moduli) -> tuple[dict, dict]:
     # r=5, k=1, where two eigenlines of the order-4 part appear
     expected, computed = {}, {}
     for r in moduli:
-        n = 2 * (r + 1) // 3
-        expected[str(r)] = {
-            "order": n,
-            "free": True,
-            "orbit_sizes": {str(n): (r * r - 1) // n},
-            "fixed_lines": 2 if r == 5 else 0,
-        }
+        expected[str(r)] = _free_report(2 * (r + 1) // 3, r, 2 if r == 5 else 0)
         computed[str(r)] = _line_report(standard_sl2_part("g3", r))
     return expected, computed
 

@@ -7,10 +7,6 @@ from dataclasses import dataclass
 from .matgroup import Mat, MatrixGroup
 
 
-def _apply(m: Mat, v: tuple[int, int], r: int) -> tuple[int, int]:
-    return ((m[0] * v[0] + m[1] * v[1]) % r, (m[2] * v[0] + m[3] * v[1]) % r)
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
     orbits: tuple[frozenset, ...]
@@ -35,12 +31,12 @@ def orbits(group: MatrixGroup) -> OrbitDecomposition:
     a permutation of the r^2 codes.  Codes ascend in the order of the
     tuples they stand for, so scanning seeds by code takes the least
     vector not yet reached, and the parts and their (size, least vector)
-    order are those of a search over tuples.  The vectors are read back
-    from one code -> (x, y) table.
+    order are those of a search over tuples.  Each orbit is one list that
+    the search extends while reading it, and a code is read back as
+    divmod(code, r).
     """
     r = group.r
     perms = [_code_permutation(g, r) for g in group.generators]
-    vectors = [(x, y) for x in range(r) for y in range(r)]
     seen = [False] * (r * r)
     seen[0] = True
     parts = []
@@ -49,16 +45,13 @@ def orbits(group: MatrixGroup) -> OrbitDecomposition:
             continue
         seen[seed] = True
         orbit = [seed]
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
+        for v in orbit:
             for p in perms:
                 w = p[v]
                 if not seen[w]:
                     seen[w] = True
                     orbit.append(w)
-                    frontier.append(w)
-        parts.append((len(orbit), seed, frozenset(map(vectors.__getitem__, orbit))))
+        parts.append((len(orbit), seed, frozenset(divmod(code, r) for code in orbit)))
     parts.sort()
     return OrbitDecomposition(tuple(s for _, _, s in parts),
                               tuple(n for n, _, _ in parts))
@@ -84,11 +77,13 @@ def _line_reps(r: int) -> list[tuple[int, int]]:
     return [(1, t) for t in range(r)] + [(0, 1)]
 
 
-def _line_key(v: tuple[int, int], r: int) -> tuple[int, int]:
+def _line_index(m: Mat, v: tuple[int, int], r: int) -> int:
+    """Position in _line_reps(r) of the image under m of the line through v:
+    t for the line through (1, t), r for the line through (0, 1)."""
+    a, b, c, d = m
     x, y = v
-    if x != 0:
-        return (1, y * pow(x, -1, r) % r)
-    return (0, 1)
+    u = (a * x + b * y) % r
+    return (c * x + d * y) * pow(u, -1, r) % r if u else r
 
 
 def fixed_lines(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
@@ -98,11 +93,8 @@ def fixed_lines(group: MatrixGroup) -> tuple[tuple[int, int], ...]:
     """
     r = group.r
     gens = group.generators
-    out = []
-    for v in _line_reps(r):
-        if all(_line_key(_apply(g, v, r), r) == v for g in gens):
-            out.append(v)
-    return tuple(out)
+    return tuple(v for i, v in enumerate(_line_reps(r))
+                 if all(_line_index(g, v, r) == i for g in gens))
 
 
 # ---- projective image ----
@@ -146,10 +138,7 @@ def projective_image(group: MatrixGroup) -> ProjectiveImage:
     """
     r = group.r
     reps = _line_reps(r)
-    index = {v: i for i, v in enumerate(reps)}
-    perms = set()
-    for m in group.elements:
-        perms.add(tuple(index[_line_key(_apply(m, v, r), r)] for v in reps))
+    perms = {tuple(_line_index(m, v, r) for v in reps) for m in group.elements}
     n = len(perms)
     return ProjectiveImage(n, _classify(perms, n, r), tuple(sorted(perms)))
 

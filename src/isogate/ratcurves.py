@@ -547,10 +547,6 @@ def two_division_cubic(j: Rational) -> CubicFactorType:
     return _cubic_shape(1, 0, curve.a4, curve.a6, disc_class)
 
 
-def has_rational_two_torsion(j: Rational) -> bool:
-    return two_division_cubic(j).shape != "irreducible"
-
-
 # ---- the two j-families ----
 
 def two_torsion_family_j(t: Rational) -> Fraction:

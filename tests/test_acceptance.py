@@ -10,9 +10,8 @@ from isogate.linaction import acts_freely, fixed_lines, orbits, projective_image
 from isogate.matgroup import gl2_order, is_applicable, mat_det, mat_trace
 from isogate.modcurve import named_curve, torsion_bound_cyclotomic, two_division_shape
 from isogate.ratcurves import (certificate_criteria, disc_square_class_of_j,
-                               family_membership, has_rational_two_torsion,
-                               parse_rational_expr, two_division_cubic,
-                               two_torsion_family_j)
+                               family_membership, parse_rational_expr,
+                               two_division_cubic, two_torsion_family_j)
 from isogate.stdgroups import (cube_ratio_cartan, nonsplit_cartan_cubes_extended,
                                nonsplit_cartan_normalizer, octahedral_group,
                                split_cartan_normalizer)
@@ -163,8 +162,9 @@ def test_criterion_11_two_torsion_family():
         assert all(two_torsion_family_j(t) == j for t in roots), expr
     for expr in NO_TWO_TORSION_J[:7]:
         j = parse_rational_expr(expr)
-        assert not has_rational_two_torsion(j), expr
-        assert two_division_cubic(j).witness_prime is not None, expr
+        shape = two_division_cubic(j)
+        assert shape.shape == "irreducible", expr
+        assert shape.witness_prime is not None, expr
     assert time.monotonic() - start < 10
 
 

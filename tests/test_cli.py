@@ -396,3 +396,21 @@ def test_line_claim_values_are_pinned_at_every_covered_prime(tmp_path, capsys, c
     assert report["status"] == "pass"
     assert sorted(report["computed"], key=int) == primes
     assert _digest(report["computed"]) == _PINNED[claim_id]
+
+
+# the payload of search gate-groups --json at every supported prime, as a
+# list in ascending r; its generators depend on the conjugator the search
+# picks and its classes on the fixed-line predicates
+_GATE_GROUPS_DIGEST = "ce02fc1d6ce43662d5214c99b6f5e6a7d7feb3e95b4ea9a4994316016e55b453"
+
+
+def test_gate_groups_json_is_pinned_at_every_supported_prime(tmp_path, capsys):
+    out = tmp_path / "gate.json"
+    payloads = []
+    for r in _ALL_PRIMES:
+        assert main(["search", "gate-groups", "--r", r, "--json", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert [p["r"] for p in payloads] == [int(r) for r in _ALL_PRIMES]
+    _assert_no_floats(payloads)
+    assert _digest(payloads) == _GATE_GROUPS_DIGEST

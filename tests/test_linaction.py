@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogate.linaction import (acts_freely, fixed_lines, orbits,
-                               projective_image, _apply, _line_key)
+                               projective_image, _line_index, _line_reps)
 from isogate.matgroup import MatrixGroup, all_gl2, random_gl2
 from isogate.subgroup_enum import subgroup_classes
 from isogate.stdgroups import (KINDS, borel, nonsplit_cartan,
@@ -20,6 +20,27 @@ _GROUPS = [borel(5), borel(7), split_cartan(5), split_cartan(7),
            nonsplit_cartan_normalizer(5), nonsplit_cartan_normalizer(13),
            nonsplit_cartan_cubes_extended(5), nonsplit_cartan_cubes_extended(11),
            octahedral_group(5), octahedral_group(13)]
+
+
+# oracles on tuples: the action on a vector, and the normal form of its line
+
+def _apply(m, v, r):
+    return ((m[0] * v[0] + m[1] * v[1]) % r, (m[2] * v[0] + m[3] * v[1]) % r)
+
+
+def _line_key(v, r):
+    x, y = v
+    if x != 0:
+        return (1, y * pow(x, -1, r) % r)
+    return (0, 1)
+
+
+@pytest.mark.parametrize("r", (3, 5, 7))
+def test_line_index_matches_the_vector_action(r):
+    reps = _line_reps(r)
+    for m in all_gl2(r):
+        for v in reps:
+            assert reps[_line_index(m, v, r)] == _line_key(_apply(m, v, r), r), (m, v)
 
 
 def test_partition_bullet():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +199,27 @@ def test_group_law_mod_q():
         assert [multiply_mod(coeffs, q, k, reduce(p)) is None
                 for k in range(1, 6)] == [False] * 4 + [True]
         assert add_points_mod(coeffs, q, reduce(p), reduce(negate(m, p))) is None
+
+
+def test_points_mod_against_a_scan():
+    # primary_structure reads the l-part of E(F_q) off these points; the
+    # oracle scans every (x, y) in F_q^2 against the long Weierstrass equation
+    rng = random.Random(2024)
+    models = [X011.model, X014.model, X020.model,
+              CurveModel(*(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(5)))]
+    for model in models:
+        for q in (3, 5, 13, 23, 101, 331):
+            coeffs = tuple(int(c) % q for c in model.coefficients())
+            a1, a2, a3, a4, a6 = coeffs
+            scan = {x for x in range(q) for y in range(q)
+                    if (y * y + a1 * x * y + a3 * y
+                        - x ** 3 - a2 * x * x - a4 * x - a6) % q == 0}
+            points = list(modcurve._points_mod(coeffs, q))
+            xs = [x for x, _ in points]
+            assert xs == sorted(scan), (model, q)
+            for x, y in points:
+                assert (y * y + a1 * x * y + a3 * y
+                        - x ** 3 - a2 * x * x - a4 * x - a6) % q == 0, (model, q, x, y)
 
 
 def _brute_torsion_sizes(model, q, ell, v):

@@ -27,7 +27,7 @@ from isogate.ratcurves import (CurveModel, _brent_rho, _cubic_shape, _divide_out
                                root_free_witness, squarefree_part,
                                surjectivity_certificate,
                                surjectivity_certificates, two_division_cubic,
-                               two_torsion_family_j, has_rational_two_torsion)
+                               two_torsion_family_j)
 from isogate.modcurve import image_bound, named_curve
 from isogate.modfield import generates_units, is_square
 from isogate.stdgroups import octahedral_group, standard_group
@@ -411,9 +411,9 @@ def test_two_division_cubic():
     assert shape.shape == "irreducible"
     assert shape.witness_prime is not None
     assert two_division_cubic(-64).shape != "irreducible"
-    assert has_rational_two_torsion(2916)
-    assert not has_rational_two_torsion(-121)
-    assert not has_rational_two_torsion(parse_rational_expr("-17*373^3/2^17"))
+    assert two_division_cubic(2916).shape != "irreducible"
+    assert two_division_cubic(-121).shape == "irreducible"
+    assert two_division_cubic(parse_rational_expr("-17*373^3/2^17")).shape == "irreducible"
 
 
 def _prime_near(rng, lo):
