@@ -42,7 +42,7 @@ from .errors import (FactorizationIncomplete, InsufficientSamples,
                      PoleAtParameter, SingularCurve, Undecided, ZeroParameter)
 from .modfield import (LARGE_ORDER, NONSPLIT, SPLIT, generates_units, serre_bits,
                        validate_modulus)
-from .pointcount import SCAN_BOUND, count_by_x_scan, prime_array, primes_upto
+from .pointcount import SAMPLE_BOUND, SCAN_BOUND, count_by_x_scan, prime_array, primes_upto
 
 Rational = Fraction | int
 
@@ -579,10 +579,6 @@ def g3_family_j(t: Rational) -> Fraction:
 
 
 # ---- surjectivity certification ----
-
-# default prime bound of the Frobenius readers: the certificates, the claim
-# config, the torsion-gcd shortcut and the default torsion primes
-SAMPLE_BOUND = 10 ** 4
 
 @dataclass(frozen=True)
 class SurjectivityReport:

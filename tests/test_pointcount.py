@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogate.pointcount import SCAN_BOUND, count_by_x_scan, prime_array, primes_upto
+from isogate.pointcount import (SAMPLE_BOUND, SCAN_BOUND, _cached_squares, count_by_x_scan,
+                                prime_array, primes_upto)
 
 
 def _euler_count(b2, b4, b6, q):
@@ -90,6 +91,31 @@ def test_refuses_the_prime_2():
         count_by_x_scan(1, 0, 1, 2)
 
 
+def test_refuses_1_and_composites_below_the_cache_bound():
+    with pytest.raises(ValueError, match="odd prime, got 1$"):
+        count_by_x_scan(0, 0, 1, 1)
+    # 9 used to fail inside pow(12, -1, 9), and 25 returned 22
+    kept = _cached_squares.cache_info().currsize
+    for q in (9, 25, 4, 9_999):
+        with pytest.raises(ValueError, match=rf"got {q}, which is not prime"):
+            count_by_x_scan(1, 2, 3, q)
+    assert _cached_squares.cache_info().currsize == kept
+
+
+def test_cached_tables_match_euler_criterion_to_2000():
+    for q in primes_upto(2000)[2:]:
+        expected = [x == 0 or pow(x, (q - 1) // 2, q) == 1 for x in range(q)]
+        assert len(_cached_squares(q)) == (q + 7) // 8, q
+        assert np.unpackbits(_cached_squares(q), count=q).astype(bool).tolist() == expected, q
+
+
+def test_cached_tables_are_read_only():
+    table = _cached_squares(101)
+    assert _cached_squares(101) is table and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+
+
 def test_singular_and_degenerate_cubics():
     for q in (3, 5, 7, 101):
         # v = 4x^3 vanishes once and is a square exactly when x is
@@ -107,12 +133,13 @@ def test_matches_square_table_kernel_at_a_large_prime():
 
 
 def test_matches_square_table_kernel_at_block_edges():
-    # a scan streams (q + 1) / 2 squares, then q values: one block below
-    # 2^16 (q = 65,521 is 98,282 entries), and blocks of 2^16 above, where
-    # the last squares share a block with the first values (q = 65,537) and
-    # q = 131,071 is three blocks less one element
+    # 9,973 is the largest prime with a cached table and 10,007 the least
+    # whose table is built per call; a scan is one block of q values below
+    # 2^16 (q = 65,521), and blocks of 2^16 above, where q = 65,537 ends in
+    # a one-value block and q = 131,071 is two blocks less one value, its
+    # table of 65,536 squares one whole block
     rng = random.Random(65536)
-    for q in (3, 5, 65_521, 65_537, 131_071):
+    for q in (3, 5, 9_973, 10_007, 65_521, 65_537, 131_071):
         cases = [(0, 0, 1), (1, 0, 0)]
         cases += [tuple(rng.randrange(-10 ** 30, 10 ** 30) for _ in range(3)) for _ in range(3)]
         for b2, b4, b6 in cases:
@@ -129,8 +156,8 @@ def test_largest_horner_value_stays_in_int64():
     for b2, b4, b6 in ((top, top // 2, top), (-1, top // 2 - 10 ** 20 * q, top + 7 * q)):
         assert (b2 % q, 2 * b4 % q, b6 % q) == (top, top, top)
         assert count_by_x_scan(b2, b4, b6, q) == _square_table_count(b2, b4, b6, q)
-    # the depressed cubic 4t^3 + a t + b has its largest Horner value
-    # (4 t^2 + a) t + b at a = b = t = q - 1; with b2 = 0 the shift is 0, and
+    # the depressed cubic 4t^3 + a t + b has its largest unreduced value
+    # at a = b = t = q - 1; with b2 = 0 the shift is 0, and
     # with b2 = 12 s the form is 4t^3 + a t + b moved by x = t - s
     assert (4 * top * top + top) * top + top < 2 ** 63
     for s in (0, 1, 12345):
@@ -148,7 +175,19 @@ def test_refuses_primes_above_the_scan_bound():
 
 
 _LARGE_PRIMES = [q for q in primes_upto(SCAN_BOUND) if q > 1 << 16]
+_CACHED_PRIMES = primes_upto(SAMPLE_BOUND)[2:]
 _COEFF = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_CACHED_PRIMES), _COEFF, _COEFF, _COEFF)
+def test_counts_match_from_a_cold_and_a_warm_cache(q, b2, b4, b6):
+    _cached_squares.cache_clear()
+    cold = count_by_x_scan(b2, b4, b6, q)
+    warm = count_by_x_scan(b2, b4, b6, q)
+    info = _cached_squares.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert cold == warm == _euler_count(b2, b4, b6, q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,3 +226,40 @@ def test_shared_blocks_stay_within_the_largest_scan():
                          capture_output=True, text=True, check=True)
     sizes = json.loads(out.stdout)
     assert sizes and max(sizes) <= 8 * 512, sizes
+
+
+_CACHE_SCRIPT = """
+import contextlib, io, json, sys
+from isogate import cli, ratcurves
+from isogate.modcurve import named_curve
+from isogate.pointcount import SAMPLE_BOUND, _cached_squares, primes_upto
+if sys.argv[1] == "samples":
+    ratcurves.frobenius_samples(named_curve("X0(11)").model, SAMPLE_BOUND)
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify", "--all"])
+# a prime is a key exactly when asking for its table is a hit
+size, keys = _cached_squares.cache_info().currsize, []
+for q in primes_upto(SAMPLE_BOUND)[2:]:
+    hits = _cached_squares.cache_info().hits
+    table = _cached_squares(q)
+    if _cached_squares.cache_info().hits > hits:
+        keys.append((q, len(table)))
+print(json.dumps({"size": size, "keys": keys}))
+"""
+
+
+@pytest.mark.parametrize("run", ["samples", "verify"])
+def test_square_table_cache_stays_within_its_bound(run):
+    # every default Frobenius stream reads primes up to 10^4: at most the
+    # 1,227 primes 5 <= q <= 10^4 are kept, 717,657 bytes of tables; verify
+    # --all scans primes up to 419 only
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _CACHE_SCRIPT, run], env=env,
+                         capture_output=True, text=True, check=True)
+    cache = json.loads(out.stdout)
+    primes = [q for q, _ in cache["keys"]]
+    assert cache["size"] == len(primes) > 0
+    assert len(primes) <= 1_227 and sum(size for _, size in cache["keys"]) <= 717_657
+    if run == "verify":
+        assert max(primes) <= 419, primes
